@@ -1,5 +1,5 @@
 module Time = Planck_util.Time
-module Wheel = Planck_util.Timer_wheel
+module Event_queue = Planck_util.Event_queue
 module Metrics = Planck_telemetry.Metrics
 module Profile = Planck_telemetry.Profile
 
@@ -16,24 +16,18 @@ let m_pending_hw =
 let aggregate_hw = Atomic.make 0
 let next_engine_id = Atomic.make 0
 
-(* The default queue geometry for new engines. Mutable so tests and
-   benches can A/B a whole experiment against the heap-only baseline
-   without threading a config through every constructor. *)
-let default_queue_config = Atomic.make Wheel.default_config
-let set_default_queue c = Atomic.set default_queue_config c
-let default_queue () = Atomic.get default_queue_config
-
 type t = {
-  queue : (unit -> unit) Wheel.t;
+  queue : (unit -> unit) Event_queue.t;
   label : string;
   mutable clock : Time.t;
   mutable processed : int;
   mutable max_pending : int;
+  mutable cancelled : int;
   tel_pending_hw : Metrics.gauge;
   tel_cancelled : Metrics.counter;
 }
 
-let create ?label ?queue () =
+let create ?label () =
   let label =
     match label with
     | Some l -> l
@@ -41,21 +35,13 @@ let create ?label ?queue () =
         let id = Atomic.fetch_and_add next_engine_id 1 in
         Printf.sprintf "engine%d" id
   in
-  let tel_compactions =
-    Metrics.counter ~subsystem:"engine" ~name:"compactions" ~label ()
-  in
-  let config =
-    match queue with Some c -> c | None -> Atomic.get default_queue_config
-  in
   {
-    queue =
-      Wheel.create ~config
-        ~on_compaction:(fun () -> Metrics.Counter.incr tel_compactions)
-        ();
+    queue = Event_queue.create ();
     label;
     clock = 0;
     processed = 0;
     max_pending = 0;
+    cancelled = 0;
     tel_pending_hw =
       Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ~label ();
     tel_cancelled =
@@ -66,7 +52,7 @@ let now t = t.clock
 let label t = t.label
 
 let note_scheduled t =
-  let n = Wheel.length t.queue in
+  let n = Event_queue.length t.queue in
   if n > t.max_pending then begin
     t.max_pending <- n;
     Metrics.Gauge.set_int t.tel_pending_hw n;
@@ -82,53 +68,44 @@ let note_scheduled t =
     bump ()
   end
 
-let insert t ~key f =
-  let h = Wheel.add t.queue ~key f in
-  note_scheduled t;
-  h
+let note_cancelled t =
+  t.cancelled <- t.cancelled + 1;
+  Metrics.Counter.incr t.tel_cancelled
+
+let insert t h ~key =
+  Event_queue.add t.queue h ~key;
+  note_scheduled t
 
 let schedule_at t ~time f =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  ignore (insert t ~key:time f : (unit -> unit) Wheel.handle)
+  insert t (Event_queue.handle f) ~key:time
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  ignore (insert t ~key:(t.clock + delay) f : (unit -> unit) Wheel.handle)
+  insert t (Event_queue.handle f) ~key:(t.clock + delay)
 
 module Timer = struct
   type engine = t
 
-  type t = {
-    engine : engine;
-    mutable callback : unit -> unit;
-    run : unit -> unit; (* the one closure ever queued for this timer *)
-    mutable handle : (unit -> unit) Wheel.handle option;
-  }
+  (* The handle is the timer's one queue entry for its whole life; its
+     value is the callback itself. *)
+  type t = { engine : engine; handle : (unit -> unit) Event_queue.handle }
 
-  let create engine callback =
-    let rec tm =
-      { engine; callback; run = (fun () -> tm.callback ()); handle = None }
-    in
-    tm
-
-  let set_callback tm f = tm.callback <- f
-
-  let pending tm =
-    match tm.handle with Some h -> Wheel.is_pending h | None -> false
+  let create engine callback = { engine; handle = Event_queue.handle callback }
+  let set_callback tm f = Event_queue.set_value tm.handle f
+  let pending tm = Event_queue.is_pending tm.handle
 
   let cancel tm =
-    match tm.handle with
-    | None -> ()
-    | Some h ->
-        if Wheel.cancel tm.engine.queue h then
-          Metrics.Counter.incr tm.engine.tel_cancelled;
-        tm.handle <- None
+    if Event_queue.cancel tm.engine.queue tm.handle then
+      note_cancelled tm.engine
 
+  (* Re-arming a pending timer counts as a cancel, as it did when the
+     superseded fire was a separate queue entry. *)
   let reschedule_at tm ~time =
     if time < tm.engine.clock then
       invalid_arg "Engine.Timer.reschedule_at: time in the past";
-    cancel tm;
-    tm.handle <- Some (insert tm.engine ~key:time tm.run)
+    if Event_queue.is_pending tm.handle then note_cancelled tm.engine;
+    insert tm.engine tm.handle ~key:time
 
   let reschedule tm ~delay =
     if delay < 0 then invalid_arg "Engine.Timer.reschedule: negative delay";
@@ -151,32 +128,33 @@ let periodic t ~period ?until f =
 let every t ~period ?until f = ignore (periodic t ~period ?until f : Timer.t)
 
 let step t =
-  match Wheel.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      t.clock <- time;
-      t.processed <- t.processed + 1;
-      Metrics.Counter.incr m_events;
-      Profile.enter sp_dispatch;
-      f ();
-      Profile.exit sp_dispatch;
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    let h = Event_queue.take t.queue in
+    t.clock <- Event_queue.key h;
+    t.processed <- t.processed + 1;
+    Metrics.Counter.incr m_events;
+    Profile.enter sp_dispatch;
+    (Event_queue.value h) ();
+    Profile.exit sp_dispatch;
+    true
+  end
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-      let continue = ref true in
-      while !continue do
-        match Wheel.min_key t.queue with
-        | Some time when time <= horizon -> ignore (step t)
-        | Some _ | None ->
-            t.clock <- horizon;
-            continue := false
-      done
+      while
+        (not (Event_queue.is_empty t.queue))
+        && Event_queue.min_key t.queue <= horizon
+      do
+        ignore (step t : bool)
+      done;
+      (* a horizon already in the past leaves the clock where it is *)
+      if horizon > t.clock then t.clock <- horizon
 
 let events_processed t = t.processed
-let pending t = Wheel.length t.queue
+let pending t = Event_queue.length t.queue
 let max_pending t = t.max_pending
-let timers_cancelled t = Wheel.total_cancelled t.queue
-let compactions t = Wheel.compactions t.queue
+let timers_cancelled t = t.cancelled
+let compactions _ = 0

@@ -1,27 +1,15 @@
 (** The discrete-event simulation engine.
 
-    A single-threaded event loop over a hierarchical timer wheel
-    ({!Planck_util.Timer_wheel}: O(1) insert/cancel short horizon,
-    min-heap overflow). Events at equal times fire in scheduling order,
-    so the simulation is fully deterministic — the wheel preserves the
-    heap's exact (time, seq) pop order. *)
+    A single-threaded event loop over {!Planck_util.Event_queue}, a
+    two-tier binary min-heap of reusable handles. Events at equal times
+    fire in scheduling order, so the simulation is fully
+    deterministic. *)
 
 type t
 
-val create : ?label:string -> ?queue:Planck_util.Timer_wheel.config -> unit -> t
+val create : ?label:string -> unit -> t
 (** [label] names this engine's instance metrics (default: a fresh
-    ["engine<N>"]). [queue] selects the event-queue geometry (default:
-    {!default_queue}, normally the wheel;
-    {!Planck_util.Timer_wheel.heap_only} recovers the pre-wheel
-    scheduler for equivalence tests and baselines). *)
-
-val default_queue : unit -> Planck_util.Timer_wheel.config
-(** The geometry used by {!create} when [?queue] is omitted. *)
-
-val set_default_queue : Planck_util.Timer_wheel.config -> unit
-(** Override {!default_queue} process-wide. For A/B runs (wheel vs
-    heap-only) of whole experiments whose constructors don't expose the
-    engine; set it back around the run. *)
+    ["engine<N>"]). *)
 
 val now : t -> Planck_util.Time.t
 (** Current simulated time. *)
@@ -38,12 +26,10 @@ val schedule_at : t -> time:Planck_util.Time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute time [time], which must
     not be in the past. *)
 
-(** Cancellable, reusable timers. A [Timer.t] owns a single queued
-    closure allocated at {!Timer.create}; {!Timer.reschedule} re-queues
-    that same closure, and {!Timer.cancel} is an O(1) lazy delete (the
-    wheel reclaims the slot, compacting when cancelled entries pile
-    up). This replaces the generation-counter idiom: a cancelled timer
-    leaves no zombie event to fire later. *)
+(** Cancellable, reusable timers. A [Timer.t] owns one queue handle for
+    its whole life: {!Timer.reschedule} moves that handle in place and
+    {!Timer.cancel} removes it at once, so neither allocates and a
+    cancelled timer leaves no zombie event to fire later. *)
 module Timer : sig
   type engine = t
 
@@ -59,7 +45,9 @@ module Timer : sig
 
   val reschedule : t -> delay:Planck_util.Time.t -> unit
   (** Cancel any pending fire and arm at [now + delay]. Raises
-      [Invalid_argument] on negative delay. *)
+      [Invalid_argument] on negative delay. A pending timer orders
+      exactly as if cancelled and newly scheduled, and the superseded
+      fire counts in {!timers_cancelled}. *)
 
   val reschedule_at : t -> time:Planck_util.Time.t -> unit
   (** Cancel any pending fire and arm at absolute [time] (not in the
@@ -87,9 +75,9 @@ val every :
 
 val run : ?until:Planck_util.Time.t -> t -> unit
 (** Process events in time order. With [until], stops once the next
-    event would be strictly later than [until] (and advances the clock
-    to [until]); otherwise runs until the queue drains. Cancelled
-    timers are skipped without waking the loop. *)
+    event would be strictly later than [until] and advances the clock
+    to [until] (a horizon already in the past leaves the clock alone);
+    otherwise runs until the queue drains. *)
 
 val step : t -> bool
 (** Process exactly one event; [false] if the queue was empty. *)
@@ -98,17 +86,16 @@ val step : t -> bool
 
     Exposed so telemetry and tests can assert on scheduler state. Each
     engine also registers instance metrics labelled with {!label}
-    ([engine.pending_high_water], [engine.timers_cancelled],
-    [engine.compactions]) plus the process-wide aggregates
-    ([engine.events_processed] counter and a monotone
-    [engine.pending_high_water] gauge) in
+    ([engine.pending_high_water], [engine.timers_cancelled]) plus the
+    process-wide aggregates ([engine.events_processed] counter and a
+    monotone [engine.pending_high_water] gauge) in
     {!Planck_telemetry.Metrics.default}. *)
 
 val events_processed : t -> int
 (** Events executed by {!step}/{!run} since creation. *)
 
 val pending : t -> int
-(** Live events currently queued (cancelled entries excluded). *)
+(** Events currently queued. *)
 
 val max_pending : t -> int
 (** High-water mark of {!pending} over the engine's lifetime. *)
@@ -117,4 +104,5 @@ val timers_cancelled : t -> int
 (** Successful cancellations since creation. *)
 
 val compactions : t -> int
-(** Lazy-delete compaction sweeps since creation. *)
+(** Always [0]: cancels remove their entry at once, so there is
+    nothing to compact. Kept for readers of the former counter. *)

@@ -138,7 +138,7 @@ let barrier_abort b =
   Mutex.unlock b.m
 
 (* Pop every entry transmitted before round [r] and schedule its
-   arrival in this shard's wheel. Entries are popped in channel
+   arrival in this shard's engine. Entries are popped in channel
    registration order, then FIFO per channel — both deterministic — and
    their timestamps are >= the shard's clock by the lookahead bound. *)
 let drain g me r =

@@ -14,7 +14,7 @@
     Determinism: channel entries are stamped with the transmit window,
     and a shard entering window [r] consumes exactly the entries
     stamped [< r] — which the barrier guarantees are all present — in
-    channel registration order. The set and order of events each wheel
+    channel registration order. The set and order of events each engine
     processes is therefore a pure function of the simulation, and with
     one shard the whole protocol degenerates to the single-domain
     [Engine.run] chunk loop, event for event. *)
@@ -51,7 +51,7 @@ val channel :
     handoff (what {!Txport.create}'s [?handoff] wants): called on the
     [src] shard's domain with a frame and its arrival time, it enqueues
     the frame for the [dst] shard, which schedules [deliver] in its own
-    wheel at that time. Channels must all be registered before {!run}
+    engine at that time. Channels must all be registered before {!run}
     (wiring happens on the spawning domain). [prop_delay] must be
     positive — it tightens the group lookahead. *)
 

@@ -34,7 +34,7 @@ val create :
     bit leaves the serializer the frame and its arrival time
     ([now + prop_delay]) go to the handoff (a {!Shard} channel) instead
     of the local propagation queue, and [deliver] is never called —
-    the destination shard schedules the arrival in its own wheel. *)
+    the destination shard schedules the arrival in its own event queue. *)
 
 val enqueue : t -> cls:int -> Planck_packet.Packet.t -> unit
 (** Append to sub-queue [cls] and start the serializer if idle.

@@ -17,7 +17,7 @@ let switch_to_switch sw_a ~port_a sw_b ~port_b ~rate ~prop_delay =
 
 (* Cross-shard cable: each direction's transmit side hands departures to
    its shard channel (which schedules the arrival in the peer shard's
-   wheel), so the local deliver path is never taken. *)
+   engine), so the local deliver path is never taken. *)
 let switch_to_switch_remote sw_a ~port_a sw_b ~port_b ~rate ~prop_delay
     ~handoff_ab ~handoff_ba =
   Switch.connect sw_a ~port:port_a ~rate ~prop_delay ~handoff:handoff_ab

@@ -1,8 +1,8 @@
 (** A binary min-heap keyed by integer priorities.
 
-    Used as the event queue of the discrete-event engine, so insertion
-    order is preserved among equal keys (FIFO tie-breaking): two events
-    scheduled for the same instant fire in the order they were added. *)
+    Insertion order is preserved among equal keys (FIFO tie-breaking):
+    two entries added with the same key pop in the order they were
+    added. The engine's own queue is {!Event_queue}. *)
 
 type 'a t
 

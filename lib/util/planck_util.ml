@@ -4,7 +4,7 @@
 
 module Time = Time
 module Heap = Heap
-module Timer_wheel = Timer_wheel
+module Event_queue = Event_queue
 module Ring = Ring
 module Spsc = Spsc
 module Prng = Prng

@@ -178,51 +178,40 @@ let journal_records_complete_control_loops () =
               | None -> ())
             complete)
 
-(* The whole stack A/B'd over the scheduler swap: the same PlanckTE
-   run (same spec, same seed) once on the pre-wheel heap-only queue and
-   once on the timer wheel must stream a byte-identical control-loop
-   journal — every congestion detection, notification, reroute
-   decision, install, and effective timestamp (the Fig 15 timeline).
-   This is the end-to-end form of the wheel/heap equivalence property:
-   the scheduler rework changed no event ordering anywhere. *)
+(* The whole stack over the scheduler swap: the PlanckTE run (same
+   spec, same seed) must stream a byte-identical control-loop journal —
+   every congestion detection, notification, reroute decision, install,
+   and effective timestamp (the Fig 15 timeline). The golden reroute
+   count, length and MD5 were recorded on the timer-wheel scheduler
+   that the event queue replaced. *)
 let reroute_timeline_scheduler_invariant () =
   let module Journal = Planck_telemetry.Journal in
-  let module Wheel = Planck_util.Timer_wheel in
-  let capture queue =
-    let buf = Buffer.create 4096 in
-    let was_enabled = Journal.enabled Journal.default in
-    let was_queue = Planck_netsim.Engine.default_queue () in
-    Journal.clear Journal.default;
-    Journal.set_enabled Journal.default true;
-    Journal.set_writer Journal.default
-      (Some
-         (fun line ->
-           Buffer.add_string buf line;
-           Buffer.add_char buf '\n'));
-    Planck_netsim.Engine.set_default_queue queue;
+  let buf = Buffer.create 4096 in
+  let was_enabled = Journal.enabled Journal.default in
+  Journal.clear Journal.default;
+  Journal.set_enabled Journal.default true;
+  Journal.set_writer Journal.default
+    (Some
+       (fun line ->
+         Buffer.add_string buf line;
+         Buffer.add_char buf '\n'));
+  let summary =
     Fun.protect
       ~finally:(fun () ->
-        Planck_netsim.Engine.set_default_queue was_queue;
         Journal.set_writer Journal.default None;
         Journal.set_enabled Journal.default was_enabled;
         Journal.clear Journal.default)
       (fun () ->
-        let summary =
-          run ~scheme:Scheme.planck_te_default
-            ~spec:(Testbed.paper_fat_tree ())
-            ~size:(5 * 1024 * 1024) ()
-        in
-        (summary.Experiment.reroutes, Buffer.contents buf))
+        run ~scheme:Scheme.planck_te_default
+          ~spec:(Testbed.paper_fat_tree ())
+          ~size:(5 * 1024 * 1024) ())
   in
-  let wheel_reroutes, wheel_journal = capture Wheel.default_config in
-  let heap_reroutes, heap_journal = capture Wheel.heap_only in
-  Alcotest.(check bool) "the run actually rerouted" true (wheel_reroutes > 0);
-  Alcotest.(check int) "same reroute count" heap_reroutes wheel_reroutes;
-  Alcotest.(check int) "same journal size"
-    (String.length heap_journal)
-    (String.length wheel_journal);
-  Alcotest.(check bool) "byte-identical event journal" true
-    (String.equal heap_journal wheel_journal)
+  let journal = Buffer.contents buf in
+  Alcotest.(check int) "golden reroute count" 9 summary.Experiment.reroutes;
+  Alcotest.(check int) "golden journal size" 13_969_794 (String.length journal);
+  Alcotest.(check string) "golden journal MD5"
+    "8243dca984c88c4ead6e2f2980ab9b53"
+    (Digest.to_hex (Digest.string journal))
 
 let experiment_repeat_varies_seeds () =
   let summaries =

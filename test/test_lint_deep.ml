@@ -58,8 +58,8 @@ let test_hot_reachability () =
     && String.sub chain 0 (String.length "Fix.ingress") = "Fix.ingress")
 
 (* The acceptance witness: with the repo's real cmt artifacts, the hot
-   closure reaches [Planck_util__Heap.add] through the engine/timer
-   wheel — a function the old hot-dir x hot-stem heuristic could never
+   closure reaches [Planck_util__Heap.add] through the switch's ingress
+   pipeline — a function the old hot-dir x hot-stem heuristic could never
    flag (lib/util/ was not a hot dir). Runs only when the build tree is
    around (same convention as test_lint's repo-clean check). *)
 let test_hot_includes_heap_add () =
@@ -70,7 +70,7 @@ let test_hot_includes_heap_add () =
     if Index.unit_count ix > 0 then begin
       let t = Deep.prepare ix in
       Alcotest.(check bool)
-        "Heap.add is hot via the timer wheel" true
+        "Heap.add is hot via the switch pipeline" true
         (Deep.is_hot t "Planck_util__Heap.add");
       (* Heap.add is not itself a root, so the witness chain must show a
          genuine transitive step from one. *)

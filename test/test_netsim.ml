@@ -143,28 +143,96 @@ let engine_instance_metrics () =
   Alcotest.(check int) "per-engine high water" 5 (Engine.max_pending e);
   Alcotest.(check int) "processed" 5 (Engine.events_processed e)
 
-(* The same program through the wheel and the pre-wheel heap-only
-   scheduler: identical fire order and identical clock. *)
-let engine_heap_only_equivalence () =
-  let run config =
-    let e = Engine.create ~queue:config () in
-    let log = ref [] in
-    let prng = Prng.create ~seed:42 in
-    for i = 1 to 50 do
-      Engine.schedule e ~delay:(Prng.int prng (Time.ms 2)) (fun () ->
-          log := (i, Engine.now e) :: !log)
-    done;
-    let rto = Engine.Timer.create e (fun () -> log := (99, Engine.now e) :: !log) in
-    Engine.Timer.reschedule rto ~delay:(Time.us 1700);
-    Engine.Timer.reschedule rto ~delay:(Time.us 900);
-    Engine.every e ~period:(Time.us 100) ~until:(Time.ms 1) (fun () ->
-        log := (0, Engine.now e) :: !log);
-    Engine.run e;
-    (List.rev !log, Engine.now e, Engine.events_processed e)
+(* Golden event log: one-shots at random delays, a re-armed timer and
+   a periodic stream, with equal-time ties between them. The expected
+   (event, time) sequence was recorded from the timer-wheel scheduler
+   this queue replaced, so any change in fire order shows here. *)
+let engine_golden_event_log () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let prng = Prng.create ~seed:42 in
+  for i = 1 to 50 do
+    Engine.schedule e ~delay:(Prng.int prng (Time.ms 2)) (fun () ->
+        log := (i, Engine.now e) :: !log)
+  done;
+  let rto =
+    Engine.Timer.create e (fun () -> log := (99, Engine.now e) :: !log)
   in
-  let wheel = run (Engine.default_queue ()) in
-  let heap = run Planck_util.Timer_wheel.heap_only in
-  Alcotest.(check bool) "wheel and heap-only runs identical" true (wheel = heap)
+  Engine.Timer.reschedule rto ~delay:(Time.us 1700);
+  Engine.Timer.reschedule rto ~delay:(Time.us 900);
+  Engine.every e ~period:(Time.us 100) ~until:(Time.ms 1) (fun () ->
+      log := (0, Engine.now e) :: !log);
+  Engine.run e;
+  let rendered =
+    String.concat ";"
+      (List.rev_map (fun (i, t) -> Printf.sprintf "%d@%d" i t) !log)
+  in
+  let golden =
+    String.concat ";"
+      [
+        "7@16585;38@37985;14@48950;17@49875;15@72552;0@100000;2@191191";
+        "0@200000;42@223366;44@239948;0@300000;10@313847;8@331986";
+        "43@371206;0@400000;36@424751;48@453404;21@456627;39@478106";
+        "0@500000;0@600000;37@626433;0@700000;30@796732;0@800000";
+        "11@800532;26@833976;20@845961;25@855785;24@862393;99@900000";
+        "0@900000;13@943180;0@1000000;12@1005716;19@1006218";
+        "45@1119574;18@1219639;3@1277141;4@1284366;5@1431847";
+        "16@1433335;22@1516063;1@1530473;34@1536942;46@1576511";
+        "32@1657644;31@1680259;28@1685538;40@1690765;23@1692520";
+        "49@1715565;9@1717069;41@1821077;27@1847244;35@1856566";
+        "6@1858115;50@1870525;47@1966399;29@1981802;33@1994041";
+      ]
+  in
+  Alcotest.(check string) "golden fire order" golden rendered;
+  Alcotest.(check int) "final clock" 1_994_041 (Engine.now e);
+  Alcotest.(check int) "events processed" 61 (Engine.events_processed e)
+
+(* A horizon already behind the clock must not move it backwards (the
+   next schedule_at would otherwise be accepted in the past). *)
+let engine_past_horizon_keeps_clock () =
+  let e = Engine.create () in
+  Engine.schedule_at e ~time:1_000 ignore;
+  Engine.run e;
+  Alcotest.(check int) "ran to the last event" 1_000 (Engine.now e);
+  Engine.run ~until:10 e;
+  Alcotest.(check int) "past horizon keeps the clock" 1_000 (Engine.now e);
+  Alcotest.check_raises "the past stays the past"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      Engine.schedule_at e ~time:500 ignore);
+  Engine.run ~until:2_000 e;
+  Alcotest.(check int) "future horizon still advances" 2_000 (Engine.now e)
+
+(* Re-arming a timer and dispatching it allocates nothing: the handle
+   moves in place and the step takes it without an option or a tuple.
+   A first pass lets the queue's backing arrays reach their size (the
+   clock walks past the near tier, so both tiers are used); the second
+   is measured against the cost of the measurement itself. *)
+let engine_timer_cycle_allocation_free () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let tm = Engine.Timer.create e (fun () -> incr fired) in
+  let far = Engine.Timer.create e ignore in
+  let cycle () =
+    Engine.Timer.reschedule far ~delay:(Time.s 1);
+    Engine.Timer.reschedule tm ~delay:(Time.us 2);
+    Engine.Timer.reschedule tm ~delay:(Time.us 1);
+    ignore (Engine.step e : bool)
+  in
+  let cycles () =
+    for _ = 1 to 10_000 do
+      cycle ()
+    done
+  in
+  cycles ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  let used = words cycles in
+  Alcotest.(check int) "every cycle fired" 20_000 !fired;
+  Alcotest.(check (float 0.)) "no minor words" overhead used
 
 (* ---- Buffer pool ---- *)
 
@@ -558,8 +626,11 @@ let tests =
       engine_timer_periodic;
     Alcotest.test_case "engine instance metrics" `Quick
       engine_instance_metrics;
-    Alcotest.test_case "engine wheel vs heap-only equivalence" `Quick
-      engine_heap_only_equivalence;
+    Alcotest.test_case "engine golden event log" `Quick engine_golden_event_log;
+    Alcotest.test_case "engine past horizon keeps the clock" `Quick
+      engine_past_horizon_keeps_clock;
+    Alcotest.test_case "engine timer cycle allocates nothing" `Quick
+      engine_timer_cycle_allocation_free;
     Alcotest.test_case "pool static reservation" `Quick pool_reservation;
     Alcotest.test_case "pool DT caps one queue" `Quick
       pool_dt_limits_single_port;

@@ -212,7 +212,7 @@ let empty_shard_pure_advance () =
 
 (* A frame transmitted in window r arriving exactly at the window
    boundary (ts = (r+1) * W, the tightest the lookahead bound allows)
-   must be delivered in the destination wheel at exactly that time. *)
+   must be delivered by the destination engine at exactly that time. *)
 let delivery_exactly_at_lookahead_horizon () =
   let g = Shard.create ~shards:2 in
   let delivered = ref [] in

@@ -2,7 +2,7 @@
 
 module Time = Planck_util.Time
 module Heap = Planck_util.Heap
-module Wheel = Planck_util.Timer_wheel
+module Event_queue = Planck_util.Event_queue
 module Ring = Planck_util.Ring
 module Prng = Planck_util.Prng
 module Stats = Planck_util.Stats
@@ -99,144 +99,180 @@ let heap_mixed_ops_qcheck =
         (fun _ -> Heap.pop h = take_min ())
         (List.init (Heap.length h) (fun i -> i)))
 
-(* ---- Timer wheel ---- *)
+(* ---- Event queue ---- *)
 
-(* A geometry small enough (32ns ticks, 512ns L0, 4.1us L1) that short
-   random programs constantly cascade L1 slots and spill to the
-   overflow heap. *)
-let wheel_small_config =
-  { Wheel.granularity_bits = 5; l0_bits = 4; l1_bits = 3 }
+(* Scheduler oracle: one random program (adds across every delay
+   magnitude and at the near/far boundary, re-arms of pending, fired
+   and cancelled handles, cancels, pops) replayed against a list model
+   of the (key, seq) order. Pop order (key AND insertion index, i.e.
+   the FIFO tie-break) and cancel outcomes must agree. Keys at the
+   boundary depend on the queue's horizon, so the queue run resolves
+   each step to a concrete op and the model replays those. *)
+type queue_trace = Popped of (int * int) option | Cancelled_ok of bool
 
-(* Scheduler equivalence: one random event program (adds across every
-   delay magnitude, cancels, pops) replayed against a reference model
-   and every queue geometry — default wheel, a tiny cascade-heavy
-   wheel, and heap-only. All four must produce identical pop order
-   (key AND insertion index, i.e. the FIFO tie-break) and identical
-   cancel outcomes, or the wheel is not a drop-in for the heap. *)
-type wheel_trace = Popped of (int * int) option | Cancelled_ok of bool
+type queue_op = Add of int | Rearm of int * int | Cancel of int | Pop
 
-let wheel_program_gen =
-  (* (tag, n): tags 0-5 add with a tag-dependent delay magnitude,
-     6/7/9 pop, 8 cancels the (n mod adds)-th handle ever added. *)
-  QCheck.(list (pair (int_bound 9) (int_bound 10_000)))
+let queue_program_gen =
+  (* (tag, n): tags 0-4 add at a tag-dependent delay, 5 adds exactly at
+     the horizon, 6 just below it or far past it, 7 re-arms the
+     (n mod adds)-th handle ever added (pending, fired or cancelled;
+     every third time exactly at the horizon), 8 cancels it, 9-11 pop. *)
+  QCheck.(list (pair (int_bound 11) (int_bound 10_000)))
 
-let wheel_delay tag n =
+let queue_delay tag n =
   match tag with
-  | 0 | 1 | 2 -> n mod 64 (* sub-tick: forces equal-key FIFO ties *)
-  | 3 | 4 -> n (* within the small config's L0/L1/overflow split *)
-  | _ -> n * 997 (* up to ~10ms: default config L0 boundary and beyond *)
+  | 0 | 1 | 2 -> n mod 64 (* forces equal-key FIFO ties *)
+  | 3 -> n (* within the near tier *)
+  | _ -> n * 997 (* up to ~10ms: past the near tier's span *)
 
-let run_wheel_program config program =
-  let w = Wheel.create ~config () in
-  let handles = ref [] in
+let run_queue_program program =
+  let q = Event_queue.create () in
+  let handles = Array.make (List.length program + 1) (Event_queue.handle 0) in
   let n_handles = ref 0 in
   let now = ref 0 in
-  let idx = ref 0 in
-  let trace = ref [] in
+  let trace = ref [] and ops = ref [] in
   let pop () =
-    let r = Wheel.pop w in
-    (match r with Some (key, _) -> now := key | None -> ());
+    let r =
+      if Event_queue.is_empty q then None
+      else
+        let h = Event_queue.take q in
+        now := Event_queue.key h;
+        Some (Event_queue.key h, Event_queue.value h)
+    in
+    ops := Pop :: !ops;
     trace := Popped r :: !trace
   in
-  List.iter
-    (fun (tag, n) ->
-      match tag with
-      | 0 | 1 | 2 | 3 | 4 | 5 ->
-          let h = Wheel.add w ~key:(!now + wheel_delay tag n) !idx in
-          incr idx;
-          handles := h :: !handles;
-          incr n_handles
-      | 8 when !n_handles > 0 ->
-          let h = List.nth !handles (n mod !n_handles) in
-          trace := Cancelled_ok (Wheel.cancel w h) :: !trace
-      | 8 -> ()
-      | _ -> pop ())
-    program;
-  while not (Wheel.is_empty w) do
-    pop ()
-  done;
-  trace := Popped (Wheel.pop w) :: !trace;
-  List.rev !trace
-
-(* The reference: every entry ever added, with the same three-state
-   lifecycle as a wheel handle. *)
-let run_model_program program =
-  let entries = ref [] in
-  let n_entries = ref 0 in
-  let now = ref 0 in
-  let idx = ref 0 in
-  let trace = ref [] in
-  let pop () =
-    let live = List.filter (fun (_, _, state) -> !state = `Pending) !entries in
-    let r =
-      match live with
-      | [] -> None
-      | first :: rest ->
-          let (key, i, state) =
-            List.fold_left
-              (fun (bk, bi, bs) (k, i, s) ->
-                if (k, i) < (bk, bi) then (k, i, s) else (bk, bi, bs))
-              first rest
-          in
-          state := `Fired;
-          now := key;
-          Some (key, i)
-    in
-    trace := Popped r :: !trace;
-    r <> None
+  let add key =
+    let h = Event_queue.handle !n_handles in
+    handles.(!n_handles) <- h;
+    incr n_handles;
+    Event_queue.add q h ~key;
+    ops := Add key :: !ops
   in
   List.iter
     (fun (tag, n) ->
+      let horizon = max !now (Event_queue.horizon q) in
       match tag with
-      | 0 | 1 | 2 | 3 | 4 | 5 ->
-          entries := (!now + wheel_delay tag n, !idx, ref `Pending) :: !entries;
-          incr idx;
-          incr n_entries
-      | 8 when !n_entries > 0 ->
-          let (_, _, state) = List.nth !entries (n mod !n_entries) in
-          let ok = !state = `Pending in
-          if ok then state := `Cancelled;
-          trace := Cancelled_ok ok :: !trace
-      | 8 -> ()
-      | _ -> ignore (pop ()))
+      | 0 | 1 | 2 | 3 | 4 -> add (!now + queue_delay tag n)
+      | 5 -> add horizon
+      | 6 ->
+          add
+            (if n land 1 = 0 then max !now (horizon - 1)
+             else horizon + (n * 1_000))
+      | 7 | 8 when !n_handles > 0 ->
+          let i = n mod !n_handles in
+          if tag = 7 then begin
+            let key =
+              if n mod 3 = 0 then horizon else !now + queue_delay (n mod 5) n
+            in
+            Event_queue.add q handles.(i) ~key;
+            ops := Rearm (i, key) :: !ops
+          end
+          else begin
+            trace := Cancelled_ok (Event_queue.cancel q handles.(i)) :: !trace;
+            ops := Cancel i :: !ops
+          end
+      | 7 | 8 -> ()
+      | _ -> pop ())
     program;
-  while pop () do
-    ()
+  while not (Event_queue.is_empty q) do
+    pop ()
   done;
+  pop ();
+  (List.rev !trace, List.rev !ops)
+
+(* The reference: every handle ever added, with its latest (key, seq)
+   and whether it is pending. *)
+type model_entry = {
+  mutable m_key : int;
+  mutable m_seq : int;
+  mutable live : bool;
+}
+
+let run_model_program ops =
+  let fresh () = { m_key = 0; m_seq = 0; live = false } in
+  let entries = Array.make (List.length ops) (fresh ()) in
+  let n = ref 0 and next_seq = ref 0 and trace = ref [] in
+  let arm e key =
+    e.m_key <- key;
+    e.m_seq <- !next_seq;
+    e.live <- true;
+    incr next_seq
+  in
+  let pop () =
+    let best = ref (-1) in
+    let order e = (e.m_key, e.m_seq) in
+    for i = !n - 1 downto 0 do
+      let e = entries.(i) in
+      if e.live && (!best < 0 || order e < order entries.(!best)) then
+        best := i
+    done;
+    if !best < 0 then None
+    else begin
+      entries.(!best).live <- false;
+      Some (entries.(!best).m_key, !best)
+    end
+  in
+  List.iter
+    (function
+      | Add key ->
+          let e = fresh () in
+          entries.(!n) <- e;
+          incr n;
+          arm e key
+      | Rearm (i, key) -> arm entries.(i) key
+      | Cancel i ->
+          trace := Cancelled_ok entries.(i).live :: !trace;
+          entries.(i).live <- false
+      | Pop -> trace := Popped (pop ()) :: !trace)
+    ops;
   List.rev !trace
 
-let wheel_equivalence_qcheck =
-  QCheck.Test.make ~name:"timer wheel matches heap pop-for-pop" ~count:300
-    wheel_program_gen
-    (fun program ->
-      let reference = run_model_program program in
-      List.for_all
-        (fun config -> run_wheel_program config program = reference)
-        [ Wheel.default_config; wheel_small_config; Wheel.heap_only ])
+let event_queue_model_qcheck =
+  QCheck.Test.make ~name:"event queue matches the list model" ~count:500
+    queue_program_gen (fun program ->
+      let trace, ops = run_queue_program program in
+      trace = run_model_program ops)
 
-let wheel_cancel_compaction () =
-  let w = Wheel.create () in
-  let keep = Wheel.add w ~key:500_000 () in
-  let hs = List.init 200 (fun i -> Wheel.add w ~key:(1_000 * (i + 1)) ()) in
-  Alcotest.(check int) "seq is insertion order" 0 (Wheel.seq keep);
-  Alcotest.(check int) "key recorded" 500_000 (Wheel.key keep);
+(* Cancel is eager: the entry leaves the queue at once, so the length,
+   the minimum and the next take see only live entries. *)
+let event_queue_eager_cancel () =
+  let q = Event_queue.create () in
+  let keep = Event_queue.handle 0 in
+  Event_queue.add q keep ~key:500_000;
+  let hs =
+    List.init 200 (fun i ->
+        let h = Event_queue.handle (i + 1) in
+        Event_queue.add q h ~key:(1_000 * (i + 1));
+        h)
+  in
+  Alcotest.(check int) "key recorded" 500_000 (Event_queue.key keep);
+  Alcotest.(check int) "all pending" 201 (Event_queue.length q);
   List.iter
-    (fun h -> Alcotest.(check bool) "cancel live" true (Wheel.cancel w h))
+    (fun h -> Alcotest.(check bool) "cancel live" true (Event_queue.cancel q h))
     hs;
+  Alcotest.(check int) "cancelled entries are gone" 1 (Event_queue.length q);
+  Alcotest.(check int) "minimum is the survivor" 500_000
+    (Event_queue.min_key q);
   Alcotest.(check bool) "double cancel refused" false
-    (Wheel.cancel w (List.hd hs));
-  Alcotest.(check int) "one live entry" 1 (Wheel.length w);
-  Alcotest.(check int) "total cancelled" 200 (Wheel.total_cancelled w);
-  Alcotest.(check bool) "lazy deletes were compacted" true
-    (Wheel.compactions w > 0);
-  Alcotest.(check bool) "survivor pending" true (Wheel.is_pending keep);
-  Alcotest.(check (option (pair int unit)))
-    "survivor pops" (Some (500_000, ())) (Wheel.pop w);
-  Alcotest.(check bool) "fired is not pending" false (Wheel.is_pending keep);
-  Alcotest.(check bool) "cancel after fire refused" false (Wheel.cancel w keep);
-  Alcotest.(check (option (pair int unit))) "drained" None (Wheel.pop w);
-  Alcotest.(check int) "no cancelled residents left" 0
-    (Wheel.cancelled_resident w)
+    (Event_queue.cancel q (List.hd hs));
+  Alcotest.(check bool) "cancelled is not pending" false
+    (Event_queue.is_pending (List.hd hs));
+  Alcotest.(check bool) "survivor pending" true (Event_queue.is_pending keep);
+  let h = Event_queue.take q in
+  Alcotest.(check bool) "survivor pops" true (h == keep);
+  Alcotest.(check bool) "fired is not pending" false
+    (Event_queue.is_pending keep);
+  Alcotest.(check bool) "cancel after fire refused" false
+    (Event_queue.cancel q keep);
+  Alcotest.(check bool) "drained" true (Event_queue.is_empty q);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Event_queue: empty queue") (fun () ->
+      ignore (Event_queue.take q : int Event_queue.handle));
+  (* a cancelled handle is reusable *)
+  Event_queue.add q (List.nth hs 7) ~key:600_000;
+  Alcotest.(check int) "re-armed after cancel" 8
+    (Event_queue.value (Event_queue.take q))
 
 (* ---- Ring ---- *)
 
@@ -489,9 +525,9 @@ let tests =
     Alcotest.test_case "heap FIFO tie-break" `Quick heap_fifo_ties;
     qtest heap_sorts_qcheck;
     qtest heap_mixed_ops_qcheck;
-    qtest wheel_equivalence_qcheck;
-    Alcotest.test_case "wheel cancel, compaction, lifecycle" `Quick
-      wheel_cancel_compaction;
+    qtest event_queue_model_qcheck;
+    Alcotest.test_case "event queue eager cancel and lifecycle" `Quick
+      event_queue_eager_cancel;
     Alcotest.test_case "ring FIFO and drops" `Quick ring_fifo;
     Alcotest.test_case "ring wraparound under interleaved ops" `Quick
       ring_wraparound;

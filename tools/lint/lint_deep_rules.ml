@@ -4,8 +4,8 @@
    heuristics, this tier computes the hot set as a forward reachability
    closure over the real call graph, seeded from the per-packet /
    per-event roots (switch ingress, collector sample path, engine and
-   timer-wheel dispatch, tcp segment handling). A cold-named helper the
-   timer wheel actually calls per event is hot here; a hot-named
+   event-queue dispatch, tcp segment handling). A cold-named helper the
+   event queue actually calls per event is hot here; a hot-named
    function nothing per-packet reaches is not.
 
    Poly-compare is type-aware: we look at the *instantiated* type of the
@@ -47,11 +47,11 @@ let default_hot_roots =
     "Planck_tcp__Flow.receiver_receive";
     "Planck_tcp__Flow.on_timeout";
     "Planck_tcp__Flow.try_send";
-    (* engine / timer-wheel dispatch *)
+    (* engine / event-queue dispatch *)
     "Planck_netsim__Engine.step";
-    "Planck_util__Timer_wheel.add";
-    "Planck_util__Timer_wheel.pop";
-    "Planck_util__Timer_wheel.cancel";
+    "Planck_util__Event_queue.add";
+    "Planck_util__Event_queue.take";
+    "Planck_util__Event_queue.cancel";
     (* self-profiling spans bracket every hot path above; the disabled
        branch must stay allocation-free *)
     "Planck_telemetry__Profile.enter";

@@ -11,7 +11,7 @@ type t
 
 val default_hot_roots : string list
 (** The per-packet / per-event entry points: switch ingress/forward,
-    collector sample path, engine and timer-wheel dispatch, tcp segment
+    collector sample path, engine and event-queue dispatch, tcp segment
     handling. *)
 
 val prepare : ?hot_roots:string list -> Lint_cmt_index.t -> t

@@ -96,7 +96,7 @@ let use_after_transfer_findings dr =
                 (Printf.sprintf
                    "`%s` flowed into %s at line %d and is %s here; after the \
                     hand-off the value belongs to the new owner (consumer \
-                    shard / pool / wheel), which may be mutating it \
+                    shard / pool / event queue), which may be mutating it \
                     concurrently — copy what you need before the transfer, \
                     or baseline with a justification"
                    u.Ix.u_var u.Ix.u_point u.Ix.u_transfer_line

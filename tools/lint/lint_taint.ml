@@ -33,7 +33,7 @@ let default_sinks =
     "Engine.Timer.create";
     "Engine.Timer.reschedule";
     "Engine.Timer.reschedule_at";
-    "Timer_wheel.add";
+    "Event_queue.add";
     "Reroute.apply";
     "Net_view.set_route";
   ]
