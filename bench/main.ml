@@ -7,14 +7,14 @@
      dune exec bench/main.exe -- --full       # paper-scale (slow)
      dune exec bench/main.exe -- --list       # what exists
      dune exec bench/main.exe -- fig15 --json out.json   # machine-readable
-     dune exec bench/main.exe -- fig13 --trace-out t.json  # Perfetto trace
+     dune exec bench/main.exe -- fig13 --journal-out j.ndjson  # then
+       planck-cli inspect j.ndjson --chrome-out t.json  # Perfetto trace
 *)
 
 module Json = Planck_telemetry.Json
 module Metrics = Planck_telemetry.Metrics
 module Profile = Planck_telemetry.Profile
 module Bench_gate = Planck_telemetry.Bench_gate
-module Trace = Planck_telemetry.Trace
 module Export = Planck_telemetry.Export
 module Journal = Planck_telemetry.Journal
 module Timeseries = Planck_telemetry.Timeseries
@@ -173,13 +173,6 @@ let metrics_out =
   let doc = "Enable telemetry and write the metric snapshot as JSON." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let trace_out =
-  let doc =
-    "Enable sim-time tracing and write a Chrome trace_event JSON (open in \
-     chrome://tracing or ui.perfetto.dev)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
 let journal_out =
   let doc =
     "Enable the flight-recorder journal and stream every event (drops, \
@@ -271,7 +264,7 @@ let profile_flag =
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 let main names runs full seed list_experiments with_micro json_path
-    metrics_path trace_path journal_path timeseries_path
+    metrics_path journal_path timeseries_path
     timeseries_interval_us only check against_path tolerance noise_floor_ns
     tolerance_overrides bench_dir trend trend_out profile =
   let with_micro = with_micro || check in
@@ -311,11 +304,10 @@ let main names runs full seed list_experiments with_micro json_path
            with Sys_error msg ->
              Printf.eprintf "planck-bench: cannot write %s\n" msg;
              exit 1))
-      [ json_path; metrics_path; trace_path; journal_path; timeseries_path ];
+      [ json_path; metrics_path; journal_path; timeseries_path ];
     if json_path <> None || metrics_path <> None || profile then
       Metrics.set_enabled Metrics.default true;
     if profile then Profile.set_enabled true;
-    if trace_path <> None then Trace.set_enabled Trace.default true;
     if journal_path <> None then Journal.set_enabled Journal.default true;
     (* Stream journal events as they record: experiments produce far more
        than the in-memory ring holds, the NDJSON file is complete. *)
@@ -405,15 +397,6 @@ let main names runs full seed list_experiments with_micro json_path
           (Metrics.size Metrics.default)
           path)
       metrics_path;
-    Option.iter
-      (fun path ->
-        Export.write_file ~path (Trace.to_chrome_json Trace.default);
-        Printf.printf
-          "wrote %d trace events to %s (open in chrome://tracing or \
-           Perfetto)\n\
-           %!"
-          (Trace.length Trace.default) path)
-      trace_path;
     if check then begin
       let gate_failed = ref false in
       (let baseline =
@@ -532,7 +515,7 @@ let cmd =
     (Cmd.info "planck-bench" ~doc)
     Term.(
       const main $ names $ runs $ full $ seed $ list_flag $ micro_flag
-      $ json_out $ metrics_out $ trace_out $ journal_out $ timeseries_out
+      $ json_out $ metrics_out $ journal_out $ timeseries_out
       $ timeseries_interval_us $ only_micros $ check_flag $ against $ tolerance
       $ noise_floor $ tolerance_overrides $ bench_dir $ trend_flag $ trend_out
       $ profile_flag)

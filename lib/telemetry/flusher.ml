@@ -1,38 +1,20 @@
 module Time = Planck_util.Time
 
-type output =
-  | Metrics_json of string
-  | Metrics_csv of string
-  | Trace_json of string
-  | Custom of (unit -> unit)
-
 type t = {
   registry : Metrics.registry;
-  trace : Trace.t;
-  outputs : output list;
+  path : string;
   mutable flushes : int;
 }
 
-let create ?(registry = Metrics.default) ?(trace = Trace.default) ~outputs ()
-    =
-  { registry; trace; outputs; flushes = 0 }
+let create ?(registry = Metrics.default) ~path () =
+  { registry; path; flushes = 0 }
 
 let sp_flush = Profile.register "flusher.flush"
 
 let flush t =
   t.flushes <- t.flushes + 1;
   Profile.enter sp_flush;
-  List.iter
-    (fun output ->
-      match output with
-      | Metrics_json path ->
-          Export.write_file ~path (Export.metrics_json t.registry)
-      | Metrics_csv path ->
-          Export.write_file ~path (Export.metrics_csv t.registry)
-      | Trace_json path ->
-          Export.write_file ~path (Trace.to_chrome_json t.trace)
-      | Custom f -> f ())
-    t.outputs;
+  Export.write_file ~path:t.path (Export.metrics_json t.registry);
   Profile.exit sp_flush
 
 let flushes t = t.flushes

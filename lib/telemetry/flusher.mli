@@ -1,36 +1,24 @@
 (** Periodic snapshot flushing.
 
-    A flusher bundles a metric registry, a trace, and a list of output
-    sinks; each {!flush} rewrites every sink in place (last write wins,
-    so a crash mid-run still leaves the latest complete snapshot on
-    disk). {!schedule} hooks it onto the simulation clock through a
-    scheduler capability, keeping this library independent of the
-    engine:
+    A flusher writes a metric registry's {!Export.metrics_json} snapshot
+    to one file; each {!flush} rewrites it in place (last write wins, so
+    a crash mid-run still leaves the latest complete snapshot on disk).
+    {!schedule} hooks it onto the simulation clock through a scheduler
+    capability, keeping this library independent of the engine:
 
     {[
-      let fl =
-        Flusher.create
-          ~outputs:[ Flusher.Metrics_json "/tmp/metrics.json" ] ()
-      in
+      let fl = Flusher.create ~path:"/tmp/metrics.json" () in
       Flusher.schedule fl ~period:(Time.ms 100)
         ~every:(fun ~period f -> Engine.every engine ~period f)
     ]} *)
 
-type output =
-  | Metrics_json of string  (** write {!Export.metrics_json} to path *)
-  | Metrics_csv of string  (** write {!Export.metrics_csv} to path *)
-  | Trace_json of string  (** write {!Trace.to_chrome_json} to path *)
-  | Custom of (unit -> unit)
-
 type t
 
-val create :
-  ?registry:Metrics.registry -> ?trace:Trace.t -> outputs:output list ->
-  unit -> t
-(** Defaults to {!Metrics.default} and {!Trace.default}. *)
+val create : ?registry:Metrics.registry -> path:string -> unit -> t
+(** Defaults to {!Metrics.default}. *)
 
 val flush : t -> unit
-(** Write every output now. *)
+(** Write the snapshot now. *)
 
 val flushes : t -> int
 

@@ -25,6 +25,7 @@ let total l =
 let loops events =
   let corrs = Hashtbl.create 16 in (* corr -> detect, notify *)
   let by_flow = Hashtbl.create 16 in (* corr * flow -> decide/install/effective *)
+  let rerouted = Hashtbl.create 16 in (* corrs with at least one by_flow key *)
   let order = ref [] in
   let first old ts = match old with None -> Some ts | Some t -> Some (min t ts) in
   let touch_corr corr f =
@@ -44,6 +45,7 @@ let loops events =
       | Some e -> e
       | None ->
           order := `Flow key :: !order;
+          Hashtbl.replace rerouted corr ();
           (None, None, None)
     in
     Hashtbl.replace by_flow key (f entry)
@@ -65,11 +67,6 @@ let loops events =
     events;
   (* One loop per (corr, flow); corrs that never decided still show up
      (flow = None) so inspect can report loops that went nowhere. *)
-  let flows_of corr =
-    Hashtbl.fold
-      (fun (c, flow) _ acc -> if c = corr then flow :: acc else acc)
-      by_flow []
-  in
   let ls =
     List.filter_map
       (function
@@ -88,7 +85,7 @@ let loops events =
                   effective })
               detect
         | `Corr corr -> (
-            if flows_of corr <> [] then None
+            if Hashtbl.mem rerouted corr then None
             else
               match Hashtbl.find_opt corrs corr with
               | Some (Some detect, notify) ->
@@ -105,30 +102,150 @@ let loops events =
       | c -> c)
     ls
 
-let stage_names =
+(* The timeline legs as (name, start stage, end stage): the four
+   inter-stage legs plus the total, in timeline order. *)
+let legs =
   [
-    "detect->notify";
-    "notify->decide";
-    "decide->install";
-    "install->effective";
-    "detect->effective";
+    ("detect->notify", (fun l -> Some l.detect), fun l -> l.notify);
+    ("notify->decide", (fun l -> l.notify), fun l -> l.decide);
+    ("decide->install", (fun l -> l.decide), fun l -> l.install);
+    ("install->effective", (fun l -> l.install), fun l -> l.effective);
+    ("detect->effective", (fun l -> Some l.detect), fun l -> l.effective);
   ]
+
+(* A leg is recorded when both of its stages are. *)
+let leg_span l (_, start, stop) =
+  match (start l, stop l) with Some a, Some b -> Some (a, b) | _ -> None
 
 let stage_durations ls =
   let complete_loops = List.filter complete ls in
-  let leg f = List.filter_map f complete_loops in
-  let ms a b =
-    match (a, b) with
-    | Some a, Some b -> Some (Time.to_float_ms (b - a))
-    | _ -> None
+  List.map
+    (fun ((name, _, _) as leg) ->
+      ( name,
+        List.filter_map
+          (fun l ->
+            Option.map
+              (fun (a, b) -> Time.to_float_ms (b - a))
+              (leg_span l leg))
+          complete_loops ))
+    legs
+
+(* ---- Chrome trace_event view ---- *)
+
+(* trace_event timestamps are microseconds as doubles; integer
+   nanoseconds up to ~104 days stay exact after /1000 in a double, so
+   stamps round-trip through the JSON. *)
+let us ns = Json.Float (float_of_int ns /. 1000.0)
+
+let chrome_trace events =
+  (* Each record is (ts, dur, cat, fields); journal events are instants
+     (dur 0) on track 0 of their source's process. *)
+  let instants =
+    List.map
+      (fun (ev : Journal.event) ->
+        let args =
+          match Journal.event_to_json ev with
+          | Json.Obj fields ->
+              List.filter
+                (fun (k, _) -> k <> "ts" && k <> "src" && k <> "ev")
+                fields
+          | _ -> []
+        in
+        ( ev.Journal.ts,
+          0,
+          Journal.source_of_body ev.Journal.body,
+          [
+            ("name", Json.String (Journal.name_of_body ev.Journal.body));
+            ("ph", Json.String "i");
+            ("tid", Json.Int 0);
+            ("args", Json.Obj args);
+          ] ))
+      events
   in
-  [
-    ("detect->notify", leg (fun l -> ms (Some l.detect) l.notify));
-    ("notify->decide", leg (fun l -> ms l.notify l.decide));
-    ("decide->install", leg (fun l -> ms l.decide l.install));
-    ("install->effective", leg (fun l -> ms l.install l.effective));
-    ("detect->effective", leg (fun l -> ms (Some l.detect) l.effective));
-  ]
+  (* Each loop is a complete slice from detect to its last recorded
+     stage, with one nested slice per recorded leg. Loops of one
+     congestion event share a correlation id and overlap, so each loop
+     gets its own track: its 1-based rank in [loops] order. *)
+  let slices =
+    List.concat
+      (List.mapi
+         (fun i l ->
+           let last =
+             List.fold_left
+               (fun acc stage -> Option.value stage ~default:acc)
+               l.detect
+               [ l.notify; l.decide; l.install; l.effective ]
+           in
+           let slice name (a, b) =
+             ( a,
+               b - a,
+               "control_loop",
+               [
+                 ("name", Json.String name);
+                 ("ph", Json.String "X");
+                 ("dur", us (b - a));
+                 ("tid", Json.Int (i + 1));
+                 ( "args",
+                   Json.Obj
+                     [
+                       ("corr", Json.Int l.corr);
+                       ( "flow",
+                         match l.flow with
+                         | Some f -> Json.String f
+                         | None -> Json.Null );
+                     ] );
+               ] )
+           in
+           slice "control_loop" (l.detect, last)
+           :: List.filter_map
+                (fun ((name, _, _) as leg) ->
+                  Option.map (slice name) (leg_span l leg))
+                legs)
+         (loops events))
+  in
+  (* Ascending timestamps; at equal stamps the longer slice first, so
+     a leg that starts with its loop nests inside it. *)
+  let records =
+    List.stable_sort
+      (fun (ta, da, _, _) (tb, db, _, _) ->
+        match Int.compare ta tb with 0 -> Int.compare db da | c -> c)
+      (slices @ instants)
+  in
+  (* Each category renders as its own process, numbered by first
+     appearance and named by an M-phase process_name record, so the
+     viewer groups tracks by subsystem. *)
+  let cats =
+    List.fold_left
+      (fun cats (_, _, cat, _) -> if List.mem cat cats then cats else cat :: cats)
+      [] records
+    |> List.rev
+  in
+  let pids = List.mapi (fun i cat -> (cat, i + 1)) cats in
+  let metadata =
+    List.map
+      (fun (cat, pid) ->
+        Json.Obj
+          [
+            ("name", Json.String "process_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int pid);
+            ("args", Json.Obj [ ("name", Json.String cat) ]);
+          ])
+      pids
+  in
+  let record (ts, _, cat, fields) =
+    Json.Obj
+      (("cat", Json.String cat)
+      :: ("ts", us ts)
+      :: ("pid", Json.Int (List.assoc cat pids))
+      :: fields)
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.List (metadata @ List.map record records));
+         ("displayTimeUnit", Json.String "ns");
+       ])
 
 let desc_counts tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []

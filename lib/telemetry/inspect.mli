@@ -36,13 +36,29 @@ val total : loop -> Time.t option
 val loops : Journal.event list -> loop list
 (** Rebuild loops, ordered by detection time. *)
 
-val stage_names : string list
-(** The four inter-stage legs plus the total, in timeline order. *)
-
 val stage_durations : loop list -> (string * float list) list
-(** Per {!stage_names} entry, the leg's duration in milliseconds for
-    every complete loop (use {!Planck_util.Stats.percentile} on each
-    list). *)
+(** Per timeline leg — the four inter-stage legs ["detect->notify"] ..
+    ["install->effective"] plus the total ["detect->effective"], in
+    timeline order — the leg's duration in milliseconds for every
+    complete loop (use {!Planck_util.Stats.percentile} on each list). *)
+
+val chrome_trace : Journal.event list -> string
+(** The journal as a Chrome [trace_event] JSON document
+    ([{"traceEvents": [...]}]) for [chrome://tracing] or
+    {{:https://ui.perfetto.dev}Perfetto}:
+    - every event is an instant ([ph:"i"]) with [cat]
+      {!Journal.source_of_body}, [name] {!Journal.name_of_body} and the
+      remaining {!Journal.event_to_json} fields as [args];
+    - every {!loops} loop is a [control_loop] complete slice
+      ([ph:"X"], category [control_loop]) from detect to its last
+      recorded stage, with one nested slice per recorded
+      {!stage_durations} leg. Each loop has its own track ([tid] = its
+      1-based rank in {!loops}), since the loops of one congestion
+      event share a correlation id and overlap.
+
+    Records are sorted by timestamp; [ts] and [dur] are microseconds,
+    and integer-nanosecond stamps round-trip exactly. Each category
+    gets its own [pid], named by an [M]-phase [process_name] record. *)
 
 val flap_counts : Journal.event list -> (string * int) list
 (** Reroute decisions per flow, most-rerouted first. A flow rerouted

@@ -11,9 +11,9 @@
     Fig 12/15 timeline (detect -> notify -> decide -> install ->
     effective). {!Inspect} rebuilds the loops from a journal.
 
-    Like {!Metrics} and {!Trace}, the process-wide {!default} journal is
-    disabled by default and every instrumentation point costs a single
-    branch when it is off. Event bodies allocate, so hot call sites must
+    Like {!Metrics}, the process-wide {!default} journal is disabled by
+    default and every instrumentation point costs a single branch when
+    it is off. Event bodies allocate, so hot call sites must
     guard construction with [if Journal.enabled Journal.default]. *)
 
 module Time = Planck_util.Time

@@ -53,8 +53,6 @@ type t = {
   c_major_coll : Metrics.counter;
 }
 
-let name t = t.sp_name
-
 (* ---- span catalog ----
 
    The per-process registry of registered spans, replacing the former

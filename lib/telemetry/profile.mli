@@ -40,8 +40,6 @@ val register : ?registry:Metrics.registry -> string -> t
     Recording only happens while both {!enabled} and the owning
     registry's enabled flag are on. *)
 
-val name : t -> string
-
 val reset : unit -> unit
 (** Drop every span registered against a non-default registry from the
     process-wide catalog. Toplevel handles (registered at module init

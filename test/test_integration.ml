@@ -99,6 +99,7 @@ let detection_latency_under_2ms () =
 let journal_records_complete_control_loops () =
   let module Journal = Planck_telemetry.Journal in
   let module Inspect = Planck_telemetry.Inspect in
+  let module Json = Planck_telemetry.Json in
   let has_substring line sub =
     let n = String.length line and m = String.length sub in
     let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
@@ -176,7 +177,53 @@ let journal_records_complete_control_loops () =
                     true
                     (total > 0 && total < Time.ms 10)
               | None -> ())
-            complete)
+            complete;
+          (* The Chrome view of the same journal: one instant per event
+             and one control_loop slice per loop (on track = the loop's
+             rank), spanning detect -> effective when complete. *)
+          match Json.of_string (Inspect.chrome_trace events) with
+          | Error e -> Alcotest.failf "chrome trace invalid: %s" e
+          | Ok doc ->
+              let records =
+                Option.value ~default:[]
+                  (Option.bind (Json.member doc "traceEvents") Json.to_list_opt)
+              in
+              let str key e = Option.bind (Json.member e key) Json.to_string_opt in
+              let num key e = Option.bind (Json.member e key) Json.to_float_opt in
+              Alcotest.(check int) "one instant per journal event"
+                (List.length events)
+                (List.length
+                   (List.filter (fun e -> str "ph" e = Some "i") records));
+              let slices =
+                List.filter_map
+                  (fun e ->
+                    if str "name" e = Some "control_loop" && str "ph" e = Some "X"
+                    then
+                      Option.bind (Json.member e "tid") Json.to_int_opt
+                      |> Option.map (fun tid -> (tid, e))
+                    else None)
+                  records
+              in
+              Alcotest.(check int) "one control_loop slice per loop"
+                (List.length loops) (List.length slices);
+              let us ns = Some (float_of_int ns /. 1000.0) in
+              List.iteri
+                (fun i (l : Inspect.loop) ->
+                  match List.assoc_opt (i + 1) slices with
+                  | None -> Alcotest.failf "no slice on track %d" (i + 1)
+                  | Some slice -> (
+                      Alcotest.(check (option (float 1e-9)))
+                        (Printf.sprintf "loop %d slice starts at detect"
+                           l.Inspect.corr)
+                        (us l.Inspect.detect) (num "ts" slice);
+                      match Inspect.total l with
+                      | Some total ->
+                          Alcotest.(check (option (float 1e-9)))
+                            (Printf.sprintf "loop %d slice lasts total"
+                               l.Inspect.corr)
+                            (us total) (num "dur" slice)
+                      | None -> ()))
+                loops)
 
 (* The whole stack over the scheduler swap: the PlanckTE run (same
    spec, same seed) must stream a byte-identical control-loop journal —

@@ -1,13 +1,16 @@
-(* Tests for Planck_telemetry: the metric registry, sim-time trace ring,
-   JSON codec, exporters, and the flusher, plus the engine wiring into
+(* Tests for Planck_telemetry: the metric registry, JSON codec,
+   exporters (metric snapshots and the journal's Chrome trace view), the
+   flusher, the journal and its analyzer, plus the engine wiring into
    the process-wide default registry. *)
 
 module Time = Planck_util.Time
 module Json = Planck_telemetry.Json
 module Metrics = Planck_telemetry.Metrics
-module Trace = Planck_telemetry.Trace
 module Export = Planck_telemetry.Export
 module Flusher = Planck_telemetry.Flusher
+module Journal = Planck_telemetry.Journal
+module Timeseries = Planck_telemetry.Timeseries
+module Inspect = Planck_telemetry.Inspect
 module Engine = Planck_netsim.Engine
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -157,54 +160,6 @@ let histogram_observations () =
   let q50 = Metrics.Histogram.quantile h 0.5 in
   Alcotest.(check bool) "q0.5 within 2x of 100" true (q50 >= 100 && q50 < 256)
 
-(* ---- trace ring ---- *)
-
-let trace_bounded_eviction () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.instant t ~now:(Time.ns i) ~cat:"c" ~name:(string_of_int i) ()
-  done;
-  Alcotest.(check int) "length bounded" 4 (Trace.length t);
-  Alcotest.(check int) "capacity" 4 (Trace.capacity t);
-  Alcotest.(check int) "evicted counted" 6 (Trace.evicted t);
-  Alcotest.(check (list string))
-    "keeps the newest window" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.name) (Trace.events t));
-  Trace.clear t;
-  Alcotest.(check int) "clear empties" 0 (Trace.length t)
-
-let trace_disabled_and_spans () =
-  let t = Trace.create ~enabled:false () in
-  Trace.instant t ~now:(Time.ns 1) ~cat:"c" ~name:"x" ();
-  Alcotest.(check int) "disabled records nothing" 0 (Trace.length t);
-  Trace.set_enabled t true;
-  let clock = ref (Time.us 5) in
-  let result =
-    Trace.with_span t
-      ~clock:(fun () -> !clock)
-      ~cat:"c" ~name:"work"
-      (fun () ->
-        clock := Time.us 9;
-        17)
-  in
-  Alcotest.(check int) "with_span passes result" 17 result;
-  (match Trace.events t with
-  | [ b; e ] ->
-      Alcotest.(check bool) "begin phase" true (b.Trace.phase = Trace.Span_begin);
-      Alcotest.(check bool) "end phase" true (e.Trace.phase = Trace.Span_end);
-      Alcotest.(check int) "begin ts" (Time.us 5) b.Trace.ts;
-      Alcotest.(check int) "end ts" (Time.us 9) e.Trace.ts
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
-  (* The span closes even when the body raises. *)
-  Trace.clear t;
-  (try
-     Trace.with_span t
-       ~clock:(fun () -> Time.us 1)
-       ~cat:"c" ~name:"boom"
-       (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span closed on raise" 2 (Trace.length t)
-
 (* ---- JSON codec ---- *)
 
 let json_roundtrip () =
@@ -236,36 +191,39 @@ let json_rejects_malformed () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ]
 
-(* ---- Chrome trace export ---- *)
+(* ---- Chrome trace view of a journal ---- *)
 
 let chrome_json_valid_and_roundtrips () =
-  let t = Trace.create () in
-  (* Deliberately record out of timestamp order: the TE app stamps its
-     detection time retroactively, and the exporter must sort. *)
-  Trace.span_end t ~now:(Time.us 300) ~cat:"te" ~name:"loop" ();
-  Trace.span_begin t
-    ~now:(Time.us 100)
-    ~cat:"te" ~name:"loop"
-    ~args:[ ("switch", Trace.Int 3) ]
-    ();
-  Trace.instant t ~now:(Time.us 200) ~cat:"col" ~name:"hit" ();
-  let json = Trace.to_chrome_json t in
-  match Json.of_string json with
+  (* Deliberately out of timestamp order: the view must sort. *)
+  let events =
+    [
+      { Journal.ts = Time.us 300; corr = Some 1;
+        body = Journal.Controller_notified { switch = 3; port = 1 } };
+      { Journal.ts = Time.us 100; corr = Some 1;
+        body =
+          Journal.Congestion_detected
+            { switch = 3; port = 1; gbps = 9.5; capacity_gbps = 10.0;
+              flows = 2 } };
+      { Journal.ts = Time.us 200; corr = None;
+        body = Journal.Packet_drop { switch = "s0"; port = 2; mirror = true } };
+    ]
+  in
+  match Json.of_string (Inspect.chrome_trace events) with
   | Error e -> Alcotest.failf "chrome JSON invalid: %s" e
   | Ok doc -> (
       match Option.bind (Json.member doc "traceEvents") Json.to_list_opt with
       | None -> Alcotest.fail "no traceEvents array"
       | Some records ->
-          let phase_of e =
+          let str key e =
             Option.value ~default:"?"
-              (Option.bind (Json.member e "ph") Json.to_string_opt)
+              (Option.bind (Json.member e key) Json.to_string_opt)
           in
-          let metadata, events =
-            List.partition (fun e -> phase_of e = "M") records
+          let metadata, records =
+            List.partition (fun e -> str "ph" e = "M") records
           in
           (* One process_name metadata record per category, so Perfetto
              shows each cat as a named process track. *)
-          Alcotest.(check int) "one metadata per cat" 2
+          Alcotest.(check int) "one metadata per cat" 4
             (List.length metadata);
           let proc_names =
             List.filter_map
@@ -275,28 +233,49 @@ let chrome_json_valid_and_roundtrips () =
               metadata
           in
           Alcotest.(check (list string))
-            "cats named in first-appearance order" [ "te"; "col" ] proc_names;
+            "cats named in first-appearance order"
+            [ "control_loop"; "collector"; "netsim"; "controller" ]
+            proc_names;
           List.iter
             (fun m ->
-              Alcotest.(check (option string))
-                "metadata kind" (Some "process_name")
-                (Option.bind (Json.member m "name") Json.to_string_opt))
+              Alcotest.(check string)
+                "metadata kind" "process_name" (str "name" m))
             metadata;
-          Alcotest.(check int) "3 events" 3 (List.length events);
-          let ts_of e =
-            match Option.bind (Json.member e "ts") Json.to_float_opt with
-            | Some ts -> ts
-            | None -> Alcotest.fail "event without ts"
+          let us key e =
+            match Option.bind (Json.member e key) Json.to_float_opt with
+            | Some us -> us
+            | None -> Alcotest.failf "record without %s" key
           in
-          (* Sorted by timestamp (microseconds), despite recording order. *)
+          (* Sorted by timestamp (microseconds), despite input order; the
+             loop slice encloses its detect->notify leg. *)
           Alcotest.(check (list (pair string (float 1e-9))))
             "sorted ts in us"
-            [ ("B", 100.0); ("i", 200.0); ("E", 300.0) ]
-            (List.map (fun e -> (phase_of e, ts_of e)) events);
-          (* Every event's pid matches its category's metadata pid. *)
-          let pid_of e =
-            Option.bind (Json.member e "pid") Json.to_int_opt
+            [
+              ("control_loop", 100.0); ("detect->notify", 100.0);
+              ("congestion_detected", 100.0); ("packet_drop", 200.0);
+              ("notified", 300.0);
+            ]
+            (List.map (fun e -> (str "name" e, us "ts" e)) records);
+          let slices = List.filter (fun e -> str "ph" e = "X") records in
+          Alcotest.(check (list (float 1e-9)))
+            "slices run detect -> notify" [ 200.0; 200.0 ]
+            (List.map (us "dur") slices);
+          Alcotest.(check int) "one instant per journal event" 3
+            (List.length (List.filter (fun e -> str "ph" e = "i") records));
+          (* Instant args are the body fields, not the ts/src/ev keys
+             the record itself renders. *)
+          let detected =
+            List.find (fun e -> str "name" e = "congestion_detected") records
           in
+          let arg key =
+            Option.bind (Json.member detected "args") (fun a -> Json.member a key)
+          in
+          Alcotest.(check (option int)) "body field as arg" (Some 3)
+            (Option.bind (arg "switch") Json.to_int_opt);
+          Alcotest.(check bool) "no reserved keys in args" true
+            (arg "ts" = None && arg "src" = None && arg "ev" = None);
+          (* Every record's pid matches its category's metadata pid. *)
+          let pid_of e = Option.bind (Json.member e "pid") Json.to_int_opt in
           let pid_by_cat =
             List.filter_map
               (fun m ->
@@ -311,28 +290,28 @@ let chrome_json_valid_and_roundtrips () =
           in
           List.iter
             (fun e ->
-              let cat =
-                Option.value ~default:"?"
-                  (Option.bind (Json.member e "cat") Json.to_string_opt)
-              in
+              let cat = str "cat" e in
               Alcotest.(check (option int))
                 (Printf.sprintf "pid of cat %s" cat)
                 (List.assoc_opt cat pid_by_cat)
                 (pid_of e))
-            events)
+            records)
 
 let chrome_ts_roundtrip_exact () =
   (* Integer-nanosecond stamps written as microsecond doubles must
      round-trip exactly through print-and-parse for realistic sim
      times. *)
-  let t = Trace.create ~capacity:2048 () in
   let stamps =
     List.init 1000 (fun i -> (i * i * 977) + (i * 13) + (i mod 7))
   in
-  List.iter
-    (fun ns -> Trace.instant t ~now:ns ~cat:"c" ~name:"x" ())
-    stamps;
-  match Json.of_string (Trace.to_chrome_json t) with
+  let events =
+    List.map
+      (fun ns ->
+        { Journal.ts = ns; corr = None;
+          body = Journal.Phase_marker { name = "x"; detail = "" } })
+      stamps
+  in
+  match Json.of_string (Inspect.chrome_trace events) with
   | Error e -> Alcotest.failf "invalid: %s" e
   | Ok doc ->
       let events =
@@ -357,10 +336,6 @@ let chrome_ts_roundtrip_exact () =
         got
 
 (* ---- journal (flight recorder) ---- *)
-
-module Journal = Planck_telemetry.Journal
-module Timeseries = Planck_telemetry.Timeseries
-module Inspect = Planck_telemetry.Inspect
 
 let journal_disabled_and_corr () =
   let j = Journal.create ~enabled:false () in
@@ -746,7 +721,7 @@ let export_shapes () =
   Metrics.Histogram.observe
     (Metrics.histogram ~registry:reg ~subsystem:"b" ~name:"h" ())
     100;
-  (match Json.of_string (Export.metrics_json reg) with
+  match Json.of_string (Export.metrics_json reg) with
   | Error e -> Alcotest.failf "metrics JSON invalid: %s" e
   | Ok doc -> (
       match Option.bind (Json.member doc "metrics") Json.to_list_opt with
@@ -763,21 +738,14 @@ let export_shapes () =
           Alcotest.(check (list string))
             "kinds in sorted key order"
             [ "counter"; "gauge"; "histogram" ]
-            kinds));
-  let csv = Export.metrics_csv reg in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 3 rows" 4 (List.length lines);
-  Alcotest.(check string) "csv header"
-    "subsystem,name,label,kind,value,count,sum,min,max" (List.hd lines);
-  Alcotest.(check bool) "counter row" true
-    (List.exists (fun l -> l = "a,c,l,counter,3,,,,") lines)
+            kinds)
 
 let flusher_writes_and_schedules () =
   let reg = Metrics.create () in
   let c = Metrics.counter ~registry:reg ~subsystem:"f" ~name:"c" () in
   Metrics.Counter.add c 7;
   let path = Filename.temp_file "planck_metrics" ".json" in
-  let fl = Flusher.create ~registry:reg ~outputs:[ Flusher.Metrics_json path ] () in
+  let fl = Flusher.create ~registry:reg ~path () in
   (* Drive it from a real engine through the scheduler capability. *)
   let engine = Engine.create () in
   Flusher.schedule fl ~period:(Time.ms 1)
@@ -803,9 +771,7 @@ let flusher_final_flush_captures_end_state () =
   let reg = Metrics.create () in
   let c = Metrics.counter ~registry:reg ~subsystem:"f" ~name:"c" () in
   let path = Filename.temp_file "planck_final" ".json" in
-  let fl =
-    Flusher.create ~registry:reg ~outputs:[ Flusher.Metrics_json path ] ()
-  in
+  let fl = Flusher.create ~registry:reg ~path () in
   let engine = Engine.create () in
   Flusher.schedule fl ~period:(Time.ms 1)
     ~every:(fun ~period f -> Engine.every engine ~period f);
@@ -889,10 +855,6 @@ let tests =
     Alcotest.test_case "histogram bucket boundaries" `Quick
       histogram_bucket_boundaries;
     Alcotest.test_case "histogram observations" `Quick histogram_observations;
-    Alcotest.test_case "trace ring bounded eviction" `Quick
-      trace_bounded_eviction;
-    Alcotest.test_case "trace disabled flag and spans" `Quick
-      trace_disabled_and_spans;
     Alcotest.test_case "json round-trip" `Quick json_roundtrip;
     Alcotest.test_case "json rejects malformed input" `Quick
       json_rejects_malformed;
@@ -900,7 +862,7 @@ let tests =
       chrome_json_valid_and_roundtrips;
     Alcotest.test_case "chrome ts round-trips exactly" `Quick
       chrome_ts_roundtrip_exact;
-    Alcotest.test_case "export shapes (json + csv)" `Quick export_shapes;
+    Alcotest.test_case "export metrics json shape" `Quick export_shapes;
     Alcotest.test_case "flusher writes and schedules" `Quick
       flusher_writes_and_schedules;
     Alcotest.test_case "flusher final flush captures end state" `Quick

@@ -13,7 +13,7 @@
    line is noise; one feeding Journal.record breaks bit-reproducibility
    of the fig12/fig15 timelines, which is the invariant Planck's
    evaluation rests on. Sources in lib/telemetry's wall-clock-facing
-   modules (metrics/trace export real time by design) are exempt, same
+   modules (metrics/profile export real time by design) are exempt, same
    as the syntactic tier; the journal and timeseries modules themselves
    are not. *)
 
@@ -43,7 +43,7 @@ let starts_with ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 (* Same exemption surface as the syntactic tier: real-time telemetry
-   (metrics, trace, reporter, flusher, export) may read the clock; the
+   (metrics, profile, reporter, flusher, export) may read the clock; the
    sim-visible stores (journal, timeseries, inspect, json) may not. *)
 let default_exempt_source file =
   starts_with ~prefix:"lib/telemetry/" file
