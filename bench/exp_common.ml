@@ -136,10 +136,20 @@ let sends_of_flow trace key =
 
 (* ---- One-way latency recorder (send trace -> receive trace) ---- *)
 
+(* A data segment and its retransmissions share (flow, seq32); the
+   frames themselves are told apart by physical identity, which holds
+   end to end on paths without a MAC rewrite. *)
 type latency_recorder = {
-  in_flight : (int, Time.t) Hashtbl.t; (* packet id -> send time *)
+  in_flight : (FK.t * int, (P.t * Time.t) list) Hashtbl.t;
+      (* (flow, seq32) -> frames in flight with their send times *)
   mutable latencies : Time.t list;
 }
+
+let segment_key packet =
+  match (FK.of_packet packet, P.tcp_headers packet) with
+  | Some key, Some (_, tcp) when P.tcp_payload_len packet > 0 ->
+      Some (key, tcp.H.Tcp.seq)
+  | _ -> None
 
 let record_latencies tb hosts =
   let recorder = { in_flight = Hashtbl.create 65536; latencies = [] } in
@@ -147,14 +157,26 @@ let record_latencies tb hosts =
     (fun h ->
       let host = Fabric.host tb.Testbed.fabric h in
       Host.add_send_trace host (fun time packet ->
-          if P.tcp_payload_len packet > 0 then
-            Hashtbl.replace recorder.in_flight packet.P.id time);
+          match segment_key packet with
+          | None -> ()
+          | Some k ->
+              let sent =
+                Option.value (Hashtbl.find_opt recorder.in_flight k) ~default:[]
+              in
+              Hashtbl.replace recorder.in_flight k ((packet, time) :: sent));
       Host.add_recv_trace host (fun time packet ->
-          match Hashtbl.find_opt recorder.in_flight packet.P.id with
-          | Some sent ->
-              Hashtbl.remove recorder.in_flight packet.P.id;
-              recorder.latencies <- (time - sent) :: recorder.latencies
-          | None -> ()))
+          match segment_key packet with
+          | None -> ()
+          | Some k -> (
+              let sent =
+                Option.value (Hashtbl.find_opt recorder.in_flight k) ~default:[]
+              in
+              match List.partition (fun (p, _) -> p == packet) sent with
+              | [], _ -> ()
+              | (_, sent_at) :: _, rest ->
+                  if rest = [] then Hashtbl.remove recorder.in_flight k
+                  else Hashtbl.replace recorder.in_flight k rest;
+                  recorder.latencies <- (time - sent_at) :: recorder.latencies)))
     hosts;
   recorder
 

@@ -26,15 +26,6 @@ module Tcp_flags = struct
     }
 
   let equal (a : t) (b : t) = Int.equal (to_byte a) (to_byte b)
-
-  let pp ppf t =
-    let letters =
-      List.filter_map
-        (fun (flag, c) -> if flag then Some c else None)
-        [ (t.syn, "S"); (t.ack, "A"); (t.fin, "F"); (t.rst, "R"); (t.psh, "P") ]
-    in
-    Format.pp_print_string ppf
-      (if letters = [] then "." else String.concat "" letters)
 end
 
 module Eth = struct
@@ -47,10 +38,6 @@ module Eth = struct
   let equal (a : t) (b : t) =
     Mac.equal a.src b.src && Mac.equal a.dst b.dst
     && Int.equal a.ethertype b.ethertype
-
-  let pp ppf t =
-    Format.fprintf ppf "%a -> %a (0x%04x)" Mac.pp t.src Mac.pp t.dst
-      t.ethertype
 end
 
 module Arp = struct
@@ -77,11 +64,6 @@ module Arp = struct
     && Ipv4_addr.equal a.sender_ip b.sender_ip
     && Mac.equal a.target_mac b.target_mac
     && Ipv4_addr.equal a.target_ip b.target_ip
-
-  let pp ppf t =
-    let op = match t.op with Request -> "who-has" | Reply -> "is-at" in
-    Format.fprintf ppf "arp %s %a tell %a (%a)" op Ipv4_addr.pp t.target_ip
-      Ipv4_addr.pp t.sender_ip Mac.pp t.sender_mac
 end
 
 module Ipv4 = struct
@@ -103,10 +85,6 @@ module Ipv4 = struct
     && Int.equal a.protocol b.protocol
     && Int.equal a.ttl b.ttl
     && Int.equal a.total_length b.total_length
-
-  let pp ppf t =
-    Format.fprintf ppf "%a -> %a proto=%d len=%d" Ipv4_addr.pp t.src
-      Ipv4_addr.pp t.dst t.protocol t.total_length
 end
 
 module Tcp = struct
@@ -142,10 +120,6 @@ module Tcp = struct
     && Tcp_flags.equal a.flags b.flags
     && Int.equal a.window b.window
     && List.equal equal_sack_block a.sack b.sack
-
-  let pp ppf t =
-    Format.fprintf ppf "tcp %d -> %d seq=%d ack=%d [%a]" t.src_port t.dst_port
-      t.seq t.ack_seq Tcp_flags.pp t.flags
 end
 
 module Udp = struct
@@ -157,7 +131,4 @@ module Udp = struct
     Int.equal a.src_port b.src_port
     && Int.equal a.dst_port b.dst_port
     && Int.equal a.length b.length
-
-  let pp ppf t =
-    Format.fprintf ppf "udp %d -> %d len=%d" t.src_port t.dst_port t.length
 end

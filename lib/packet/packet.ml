@@ -1,14 +1,10 @@
 type l4 = Tcp of Headers.Tcp.t | Udp of Headers.Udp.t
 type body = Ipv4 of Headers.Ipv4.t * l4 | Arp of Headers.Arp.t
 
-type t = { id : int; eth : Headers.Eth.t; body : body; wire_size : int }
+type t = { eth : Headers.Eth.t; body : body; wire_size : int }
 
 let mtu = 1500
 let max_tcp_payload = mtu - Headers.Ipv4.size - Headers.Tcp.size
-
-let next_id =
-  let counter = Atomic.make 0 in
-  fun () -> Atomic.fetch_and_add counter 1 + 1
 
 let tcp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~seq ~ack_seq
     ~flags ?(sack = []) ~payload_len () =
@@ -43,7 +39,6 @@ let tcp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~seq ~ack_seq
     }
   in
   {
-    id = next_id ();
     eth = { Headers.Eth.src = src_mac; dst = dst_mac;
             ethertype = Headers.Eth.ethertype_ipv4 };
     body = Ipv4 (ip, Tcp tcp);
@@ -65,7 +60,6 @@ let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~payload_len () =
   in
   let udp = { Headers.Udp.src_port; dst_port; length = l4_length } in
   {
-    id = next_id ();
     eth = { Headers.Eth.src = src_mac; dst = dst_mac;
             ethertype = Headers.Eth.ethertype_ipv4 };
     body = Ipv4 (ip, Udp udp);
@@ -74,7 +68,6 @@ let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~payload_len () =
 
 let arp ~src_mac ~dst_mac payload =
   {
-    id = next_id ();
     eth = { Headers.Eth.src = src_mac; dst = dst_mac;
             ethertype = Headers.Eth.ethertype_arp };
     body = Arp payload;
@@ -94,7 +87,6 @@ let tcp_payload_len t =
   | Ipv4 (_, Udp _) | Arp _ -> 0
 
 let dst_mac t = t.eth.Headers.Eth.dst
-let src_mac t = t.eth.Headers.Eth.src
 
 let header_bytes t =
   Headers.Eth.size
@@ -310,7 +302,7 @@ let parse b ~wire_size =
     in
     match body with
     | None -> None
-    | Some (body, wire_size) -> Some { id = next_id (); eth; body; wire_size }
+    | Some (body, wire_size) -> Some { eth; body; wire_size }
   end
 
 let same_headers a b =
@@ -323,13 +315,3 @@ let same_headers a b =
   | Ipv4 (ipa, Udp ua), Ipv4 (ipb, Udp ub) ->
       Headers.Ipv4.equal ipa ipb && Headers.Udp.equal ua ub
   | (Arp _ | Ipv4 _), _ -> false
-
-let pp ppf t =
-  match t.body with
-  | Arp a -> Format.fprintf ppf "#%d %a" t.id Headers.Arp.pp a
-  | Ipv4 (ip, Tcp tcp) ->
-      Format.fprintf ppf "#%d %a %a (%dB)" t.id Headers.Ipv4.pp ip
-        Headers.Tcp.pp tcp t.wire_size
-  | Ipv4 (ip, Udp udp) ->
-      Format.fprintf ppf "#%d %a %a (%dB)" t.id Headers.Ipv4.pp ip
-        Headers.Udp.pp udp t.wire_size

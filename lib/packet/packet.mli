@@ -16,7 +16,6 @@ type l4 = Tcp of Headers.Tcp.t | Udp of Headers.Udp.t
 type body = Ipv4 of Headers.Ipv4.t * l4 | Arp of Headers.Arp.t
 
 type t = private {
-  id : int;  (** unique per constructed packet, for tracing *)
   eth : Headers.Eth.t;
   body : body;
   wire_size : int;  (** full frame length on the wire, bytes *)
@@ -60,8 +59,8 @@ val udp :
 val arp : src_mac:Mac.t -> dst_mac:Mac.t -> Headers.Arp.t -> t
 
 val with_dst_mac : t -> Mac.t -> t
-(** A copy with the Ethernet destination replaced and everything else —
-    including the tracing [id] — preserved. Models a switch egress
+(** A copy with the Ethernet destination replaced and every other
+    header field and the wire size preserved. Models a switch egress
     MAC-rewrite rule acting on the same logical frame. *)
 
 val tcp_headers : t -> (Headers.Ipv4.t * Headers.Tcp.t) option
@@ -71,10 +70,6 @@ val tcp_payload_len : t -> int
 (** Virtual TCP payload bytes; 0 for non-TCP frames. *)
 
 val dst_mac : t -> Mac.t
-val src_mac : t -> Mac.t
-
-val header_bytes : t -> int
-(** Length of {!to_wire}'s output: everything except virtual payload. *)
 
 val to_wire : t -> bytes
 (** Serialize all headers to wire format (big-endian, real field
@@ -82,11 +77,7 @@ val to_wire : t -> bytes
 
 val parse : bytes -> wire_size:int -> t option
 (** Parse bytes produced by {!to_wire} back into a frame with the given
-    on-wire length. Returns [None] on malformed or unsupported input.
-    The result has a fresh [id]. *)
+    on-wire length. Returns [None] on malformed or unsupported input. *)
 
 val same_headers : t -> t -> bool
-(** Equality ignoring [id] — i.e. equality of everything {!to_wire}
-    writes, plus [wire_size]. *)
-
-val pp : Format.formatter -> t -> unit
+(** Equality of everything {!to_wire} writes, plus [wire_size]. *)

@@ -24,7 +24,7 @@ let txport_priority_class () =
   let tx =
     Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:0 ~classes:3
       ~priority_class:2
-      ~deliver:(fun p -> order := p.P.id :: !order)
+      ~deliver:(fun p -> order := p :: !order)
       ~on_depart:(fun _ -> ())
       ()
   in
@@ -35,9 +35,10 @@ let txport_priority_class () =
       Txport.enqueue tx ~cls:2 special);
   Engine.run e;
   (* a transmits immediately; the priority frame preempts b. *)
-  Alcotest.(check (list int)) "priority preempts round-robin"
-    [ a.P.id; special.P.id; b.P.id ]
-    (List.rev !order)
+  let order = List.rev !order in
+  Alcotest.(check int) "all delivered" 3 (List.length order);
+  Alcotest.(check bool) "priority preempts round-robin" true
+    (List.for_all2 ( == ) [ a; special; b ] order)
 
 (* ---- Preferential sampling end-to-end ---- *)
 

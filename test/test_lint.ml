@@ -1,8 +1,9 @@
-(* planck_lint: one positive and one negative fixture per rule, the
+(* planck_lint: one positive and one negative fixture per AST rule, the
    suppression syntax, both reporters, and a self-check that the repo's
    own tree is lint-clean. Fixtures go through Lint_engine.lint_source,
    which parses from a string — the paths never exist on disk; they only
-   drive rule scoping. *)
+   drive rule scoping. The typed rules have their fixtures in
+   test_lint_deep.ml. *)
 
 module Engine = Planck_lint_lib.Lint_engine
 module Rules = Planck_lint_lib.Lint_rules
@@ -49,20 +50,7 @@ let test_hashtbl_iteration () =
   check_clean "sorted iteration" ~path:"lib/collector/t.ml"
     "let visit tbl = List.of_seq (Hashtbl.to_seq tbl)\n"
 
-(* ---- hot-path rules ---- *)
-
-let test_poly_compare () =
-  check_fires "bare compare" "poly-compare" ~path:"lib/util/x.ml"
-    "let sort xs = List.sort compare xs\n";
-  check_fires "Stdlib.compare" "poly-compare" ~path:"lib/util/x.ml"
-    "let sort xs = List.sort Stdlib.compare xs\n";
-  check_fires "Hashtbl.hash" "poly-compare" ~path:"lib/util/x.ml"
-    "let h x = Hashtbl.hash x\n";
-  (* a module-local compare shadows the polymorphic one *)
-  check_clean "shadowed compare" ~path:"lib/util/x.ml"
-    "let compare a b = Int.compare a b\nlet sort xs = List.sort compare xs\n";
-  check_clean "outside lib" ~path:"bench/x.ml"
-    "let sort xs = List.sort compare xs\n"
+(* ---- keyed-poly-equal ---- *)
 
 let test_keyed_poly_equal () =
   let keyed body =
@@ -77,46 +65,6 @@ let test_keyed_poly_equal () =
   (* a module with no key functions is not held to the rule *)
   check_clean "unkeyed module" ~path:"lib/packet/k.ml"
     "type t = { a : int }\nlet same x y = x = y\n"
-
-let test_float_equality () =
-  check_fires "float literal" "float-equality" ~path:"lib/util/x.ml"
-    "let zero x = x = 0.0\n";
-  check_fires "negated literal" "float-equality" ~path:"lib/util/x.ml"
-    "let neg x = x <> -1.5\n";
-  check_clean "Float.equal" ~path:"lib/util/x.ml"
-    "let zero x = Float.equal x 0.0\n";
-  check_clean "int literal" ~path:"lib/util/x.ml" "let zero x = x = 0\n"
-
-let test_hot_alloc () =
-  let fmt = "Printf.sprintf \"%d\" n" in
-  check_fires "hot function in hot file" "hot-alloc" ~path:"lib/netsim/sw.ml"
-    (Printf.sprintf "let forward n = %s\n" fmt);
-  check_fires "nested in hot function" "hot-alloc" ~path:"lib/tcp/f.ml"
-    (Printf.sprintf "let process_ack n =\n  let msg = %s in\n  msg\n" fmt);
-  (* cold function names and non-hot directories are exempt *)
-  check_clean "cold function" ~path:"lib/netsim/sw.ml"
-    (Printf.sprintf "let describe n = %s\n" fmt);
-  check_clean "cold directory" ~path:"lib/controller/te.ml"
-    (Printf.sprintf "let process n = %s\n" fmt)
-
-let test_hot_schedule () =
-  check_fires "closure to Engine.schedule in hot fn" "hot-schedule"
-    ~path:"lib/netsim/sw.ml"
-    "let forward t p = Engine.schedule t ~delay:5 (fun () -> drop t p)\n";
-  check_fires "closure to Engine.schedule_at" "hot-schedule"
-    ~path:"lib/tcp/f.ml"
-    "let process_ack t = Engine.schedule_at t ~at:9 (fun () -> retx t)\n";
-  check_fires "closure to Engine.every" "hot-schedule" ~path:"lib/sflow/a.ml"
-    "let sample t = Engine.every t ~period:7 (fun () -> export t)\n";
-  (* passing a preallocated callback is the blessed pattern *)
-  check_clean "identifier callback" ~path:"lib/netsim/sw.ml"
-    "let forward t k = Engine.schedule t ~delay:5 k\n";
-  check_clean "Timer.reschedule is fine" ~path:"lib/netsim/sw.ml"
-    "let forward t = Engine.Timer.reschedule t.timer ~delay:5\n";
-  check_clean "cold function" ~path:"lib/netsim/sw.ml"
-    "let setup t = Engine.schedule t ~delay:5 (fun () -> drop t)\n";
-  check_clean "cold directory" ~path:"lib/controller/te.ml"
-    "let forward t = Engine.schedule t ~delay:5 (fun () -> drop t)\n"
 
 (* ---- hygiene rules ---- *)
 
@@ -296,66 +244,101 @@ let test_json_escape_fixed () =
 
 (* ---- --only-rule filtering ---- *)
 
-let test_only_rules_filter () =
+(* Tests run from _build/default/test; its parent is the build tree,
+   which holds both the source copies of lib/ and their .cmt files. *)
+let build_root () = Filename.dirname (Sys.getcwd ())
+
+(* Options for the typed tier over the build tree's own .cmt files.
+   Dead-export needs bin/bench cmts for references, which a bare runtest
+   need not have built, so it stays off. *)
+let deep_over cmt_dir =
+  {
+    Engine.cmt_dirs = [ cmt_dir ];
+    baseline_file = Some (Filename.concat cmt_dir "tools/lint/lint_baseline.txt");
+    dead_export = false;
+    shared_state_out = None;
+    ownership_out = None;
+  }
+
+(* Run [f] inside a throwaway tree whose relative layout matches the
+   repo's (so lib/-scoped rules apply), holding [files] as
+   (relative path, contents); the tree is removed afterwards. *)
+let in_scratch_tree files f =
   let cwd = Sys.getcwd () in
-  (* a throwaway tree whose relative layout matches the repo's, so the
-     lib/-scoped rules apply *)
-  let dir = Filename.temp_file "planck_only_rule" ".d" in
+  let dir = Filename.temp_file "planck_lint_tree" ".d" in
   Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "lib") 0o755;
-  Sys.mkdir (Filename.concat dir "lib/netsim") 0o755;
-  let file = Filename.concat dir "lib/netsim/clock.ml" in
-  let oc = open_out file in
-  output_string oc "let now () = Unix.gettimeofday ()\n";
-  close_out oc;
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  List.iter
+    (fun (rel, contents) ->
+      let path = Filename.concat dir rel in
+      mkdir_p (Filename.dirname path);
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc)
+    files;
+  let rec rm_rf p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
   Fun.protect
     ~finally:(fun () ->
       Sys.chdir cwd;
-      Sys.remove file;
-      Sys.rmdir (Filename.concat dir "lib/netsim");
-      Sys.rmdir (Filename.concat dir "lib");
-      Sys.rmdir dir)
+      rm_rf dir)
     (fun () ->
       Sys.chdir dir;
-      let rules r = List.map (fun f -> f.Finding.rule) r.Engine.kept in
-      let all = rules (Engine.lint_paths [ "lib" ]) in
-      Alcotest.(check bool)
-        "both rules fire unfiltered" true
-        (List.mem "wall-clock" all && List.mem "missing-mli" all);
-      Alcotest.(check (list string))
-        "--only-rule keeps just the requested rule" [ "wall-clock" ]
-        (rules (Engine.lint_paths ~only_rules:[ "wall-clock" ] [ "lib" ])))
+      f ())
+
+let test_only_rules_filter () =
+  let root = build_root () in
+  if Sys.file_exists (Filename.concat root "lib") then
+    in_scratch_tree
+      [ ("lib/netsim/clock.ml", "let now () = Unix.gettimeofday ()\n") ]
+      (fun () ->
+        let deep = deep_over root in
+        let rules r = List.map (fun f -> f.Finding.rule) r.Engine.kept in
+        let all = rules (Engine.lint_paths ~deep [ "lib" ]) in
+        Alcotest.(check bool)
+          "both rules fire unfiltered" true
+          (List.mem "wall-clock" all && List.mem "missing-mli" all);
+        Alcotest.(check (list string))
+          "--only-rule keeps just the requested rule" [ "wall-clock" ]
+          (rules (Engine.lint_paths ~deep ~only_rules:[ "wall-clock" ] [ "lib" ])))
+
+(* ---- a cmt dir without units is an error ---- *)
+
+let test_no_cmt_units_fails () =
+  in_scratch_tree
+    [ ("lib/util/x.ml", "let x = 1\n"); ("lib/util/x.mli", "val x : int\n") ]
+    (fun () ->
+      match Engine.lint_paths ~deep:(deep_over ".") [ "lib" ] with
+      | _ -> Alcotest.fail "lint_paths must fail when no cmt unit is found"
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            "message names the missing artifacts" true
+            (String.starts_with ~prefix:"no .cmt artifacts" msg))
 
 (* ---- the repo is lint-clean ---- *)
 
 let test_repo_clean () =
-  (* Tests run from _build/default/test; walk up to the repo root, which
-     is where dune places the source copies of lib/. *)
   let cwd = Sys.getcwd () in
-  let root = Filename.dirname cwd in
+  let root = build_root () in
   if Sys.file_exists (Filename.concat root "lib") then
     Fun.protect
       ~finally:(fun () -> Sys.chdir cwd)
       (fun () ->
         Sys.chdir root;
-        (* Deep tier with the build tree's own .cmt files: the typed
-           rules replace their syntactic cousins on covered files, so
-           this checks the same configuration CI enforces. Dead-export
-           needs bin/bench cmts for references, which a bare runtest
-           need not have built, so it stays off here. The domain tier
-           always runs, so the committed baseline (which absorbs the
-           justified shared-mutable singletons) applies. *)
-        let deep =
-          {
-            Engine.cmt_dirs = [ "." ];
-            baseline_file = Some "tools/lint/lint_baseline.txt";
-            dead_export = false;
-            shared_state_out = None;
-            ownership_out = None;
-          }
-        in
-        let r = Engine.lint_paths ~deep [ "lib" ] in
+        (* The same configuration CI enforces, minus dead-export. The
+           domain tier always runs, so the committed baseline (which
+           absorbs the justified shared-mutable singletons) applies. *)
+        let r = Engine.lint_paths ~deep:(deep_over ".") [ "lib" ] in
         Alcotest.(check (list string)) "no unsuppressed findings in lib/" []
           (List.map
              (fun f ->
@@ -372,11 +355,7 @@ let tests =
     Alcotest.test_case "wall-clock rule" `Quick test_wall_clock;
     Alcotest.test_case "ambient-random rule" `Quick test_ambient_random;
     Alcotest.test_case "hashtbl-iteration rule" `Quick test_hashtbl_iteration;
-    Alcotest.test_case "poly-compare rule" `Quick test_poly_compare;
     Alcotest.test_case "keyed-poly-equal rule" `Quick test_keyed_poly_equal;
-    Alcotest.test_case "float-equality rule" `Quick test_float_equality;
-    Alcotest.test_case "hot-alloc rule" `Quick test_hot_alloc;
-    Alcotest.test_case "hot-schedule rule" `Quick test_hot_schedule;
     Alcotest.test_case "missing-mli rule" `Quick test_missing_mli;
     Alcotest.test_case "open-lib rule" `Quick test_open_lib;
     Alcotest.test_case "ignored-result rule" `Quick test_ignored_result;
@@ -390,5 +369,7 @@ let tests =
     QCheck_alcotest.to_alcotest json_escape_any_bytes_qcheck;
     Alcotest.test_case "--only-rule filters kept findings" `Quick
       test_only_rules_filter;
+    Alcotest.test_case "no cmt units is an error" `Quick
+      test_no_cmt_units_fails;
     Alcotest.test_case "repo tree is lint-clean" `Quick test_repo_clean;
   ]

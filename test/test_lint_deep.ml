@@ -22,13 +22,14 @@ let index_of sources =
     sources;
   ix
 
+(* "file:line" of each [rule] finding, in source order *)
 let rules_at ~rule findings =
   List.filter_map
     (fun f ->
       if String.equal f.Finding.rule rule then
         Some (Printf.sprintf "%s:%d" f.Finding.file f.Finding.line)
       else None)
-    findings
+    (List.sort Finding.compare_by_location findings)
 
 (* ---- hot-path reachability ---- *)
 
@@ -100,6 +101,8 @@ module Shadow = struct
   let compare (x : int array) (y : int array) = Stdlib.compare x.(0) y.(0)
 end
 let uses_shadow x y = Shadow.compare x y
+let qualified_records (x : r) (y : r) = Stdlib.compare x y
+let hash_record (x : r) = Hashtbl.hash x
 |}
 
 let test_typed_poly_compare () =
@@ -107,13 +110,22 @@ let test_typed_poly_compare () =
   let t = Deep.prepare ~hot_roots:[] ix in
   let hits = rules_at ~rule:"poly-compare" (Deep.findings ~dead_export:false t) in
   Alcotest.(check (list string))
-    "only the structured compare fires"
-    [ "lib/fix/fix.ml:3" ] hits
+    "only the record-typed compare/Stdlib.compare/Hashtbl.hash fire"
+    [ "lib/fix/fix.ml:3"; "lib/fix/fix.ml:9"; "lib/fix/fix.ml:10" ]
+    hits;
+  (* the rule is scoped to lib/: the same structured compare under
+     bench/ stays clean *)
+  let bench = index_of [ ("Fix", "bench/fix.ml", poly_fixture) ] in
+  Alcotest.(check (list string))
+    "structured compare under bench/ is clean" []
+    (rules_at ~rule:"poly-compare"
+       (Deep.findings ~dead_export:false (Deep.prepare ~hot_roots:[] bench)))
 
 let float_fixture =
   {|
 let close (x : float) (y : float) = x = y
 let ints_fine (x : int) (y : int) = x = y
+let not_sentinel (x : float) = x <> -1.5
 |}
 
 let test_typed_float_equality () =
@@ -123,8 +135,8 @@ let test_typed_float_equality () =
     rules_at ~rule:"float-equality" (Deep.findings ~dead_export:false t)
   in
   Alcotest.(check (list string))
-    "float (=) fires, int (=) does not"
-    [ "lib/fix/fix.ml:2" ] hits
+    "float (=) and (<>) against a negated literal fire, int (=) does not"
+    [ "lib/fix/fix.ml:2"; "lib/fix/fix.ml:4" ] hits
 
 (* Structured (=) is reported only on the hot path; the same fixture
    with no hot roots stays quiet. *)
@@ -154,7 +166,8 @@ let test_hot_structural_equality () =
    whose result feeds [invalid_arg] on a hot function's error path. The
    syntactic tier needed an inline suppression for it; the typed tier
    exempts raise arguments outright, which is why that directive could
-   be deleted. A bare allocation on the same hot path still fires. *)
+   be deleted. A bare allocation on the same hot path still fires; one
+   in a function no hot root reaches does not. *)
 
 let raise_fixture =
   {|
@@ -165,6 +178,8 @@ let check_port port n =
 let label_packet x = string_of_int x
 
 let ingress port n = check_port port n; label_packet port
+
+let describe port = "port " ^ string_of_int port
 |}
 
 let test_hot_alloc_raise_exempt () =
@@ -172,7 +187,7 @@ let test_hot_alloc_raise_exempt () =
   let t = Deep.prepare ~hot_roots:[ "Fix.ingress" ] ix in
   let hits = rules_at ~rule:"hot-alloc" (Deep.findings ~dead_export:false t) in
   Alcotest.(check (list string))
-    "raise-path sprintf exempt, live allocation fires"
+    "raise-path sprintf exempt, live allocation fires, cold one does not"
     [ "lib/fix/fix.ml:6" ] hits
 
 (* ---- the profiler span probe ----
@@ -218,10 +233,17 @@ let test_profiler_span_probe () =
 
 let schedule_fixture =
   {|
-module Engine = struct let schedule _e ~delay:_ _f = () end
+module Engine = struct
+  let schedule _e ~delay:_ _f = ()
+  let schedule_at _e ~at:_ _f = ()
+  let every _e ~period:_ _f = ()
+end
 let on_packet e = Engine.schedule e ~delay:10 (fun () -> ())
-let ingress e = on_packet e
+let on_ack e = Engine.schedule_at e ~at:9 (fun () -> ())
+let on_sample e = Engine.every e ~period:7 (fun () -> ())
+let ingress e = on_packet e; on_ack e; on_sample e
 let idle_setup e = Engine.schedule e ~delay:10 (fun () -> ())
+let reuse_callback e k = Engine.schedule e ~delay:10 k
 |}
 
 let test_hot_schedule () =
@@ -231,8 +253,8 @@ let test_hot_schedule () =
     rules_at ~rule:"hot-schedule" (Deep.findings ~dead_export:false t)
   in
   Alcotest.(check (list string))
-    "only the per-packet closure fires"
-    [ "lib/fix/fix.ml:3" ] hits
+    "only the per-packet closures fire"
+    [ "lib/fix/fix.ml:7"; "lib/fix/fix.ml:8"; "lib/fix/fix.ml:9" ] hits
 
 (* ---- determinism taint ---- *)
 

@@ -286,7 +286,7 @@ let test_committed_inventory_current () =
       in
       Alcotest.(check (list (pair string string)))
         "tools/lint/shared_state.txt is current (regenerate with \
-         planck_lint --deep --shared-state-out)"
+         planck_lint --shared-state-out)"
         computed loaded
     end
   end

@@ -252,7 +252,7 @@ let test_committed_inventory_current () =
       in
       Alcotest.(check (list (pair string string)))
         "tools/lint/ownership.txt is current (regenerate with planck_lint \
-         --deep --ownership-out)"
+         --ownership-out)"
         computed loaded
     end
   end

@@ -22,6 +22,11 @@ let mk_tcp ?(src = 0) ?(dst = 1) ?(seq = 0) ?(payload = 1460) () =
     ~dst_ip:(Ip.host dst) ~src_port:(1000 + src) ~dst_port:(2000 + dst) ~seq
     ~ack_seq:0 ~flags:H.Tcp_flags.ack ~payload_len:payload ()
 
+(* The TCP sequence number, which the order tests use to tell frames
+   apart. *)
+let seq_of p =
+  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+
 (* ---- Engine ---- *)
 
 let engine_ordering () =
@@ -310,11 +315,11 @@ let txport_serialization_timing () =
   let tx =
     Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:(Time.ns 300)
       ~classes:1
-      ~deliver:(fun p -> arrivals := (Engine.now e, p.P.id) :: !arrivals)
+      ~deliver:(fun p -> arrivals := (Engine.now e, seq_of p) :: !arrivals)
       ~on_depart:(fun _ -> ())
       ()
   in
-  let p1 = mk_tcp () and p2 = mk_tcp () in
+  let p1 = mk_tcp ~seq:1 () and p2 = mk_tcp ~seq:2 () in
   Txport.enqueue tx ~cls:0 p1;
   Txport.enqueue tx ~cls:0 p2;
   Engine.run e;
@@ -323,21 +328,22 @@ let txport_serialization_timing () =
   Alcotest.(check int) "first arrival" 1512 (fst (List.nth arrivals 0));
   Alcotest.(check int) "second arrival" (1512 + 1212)
     (fst (List.nth arrivals 1));
-  Alcotest.(check int) "order" p1.P.id (snd (List.nth arrivals 0))
+  Alcotest.(check int) "order" (seq_of p1) (snd (List.nth arrivals 0))
 
 let txport_round_robin () =
   let e = Engine.create () in
   let order = ref [] in
   let tx =
     Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:0 ~classes:3
-      ~deliver:(fun p -> order := p.P.id :: !order)
+      ~deliver:(fun p -> order := seq_of p :: !order)
       ~on_depart:(fun _ -> ())
       ()
   in
   (* Fill class 0 with 3 frames, classes 1 and 2 with 1 each, before
      the serializer runs: schedule enqueues at t=0 inside the engine. *)
-  let a1 = mk_tcp () and a2 = mk_tcp () and a3 = mk_tcp () in
-  let b = mk_tcp () and c = mk_tcp () in
+  let a1 = mk_tcp ~seq:1 () and a2 = mk_tcp ~seq:2 () in
+  let a3 = mk_tcp ~seq:3 () in
+  let b = mk_tcp ~seq:4 () and c = mk_tcp ~seq:5 () in
   Engine.schedule e ~delay:0 (fun () ->
       Txport.enqueue tx ~cls:0 a1;
       Txport.enqueue tx ~cls:0 a2;
@@ -347,7 +353,7 @@ let txport_round_robin () =
   Engine.run e;
   (* a1 starts immediately; then round-robin picks 1, 2, 0, 0. *)
   Alcotest.(check (list int)) "round robin interleave"
-    [ a1.P.id; b.P.id; c.P.id; a2.P.id; a3.P.id ]
+    (List.map seq_of [ a1; b; c; a2; a3 ])
     (List.rev !order)
 
 (* ---- Switch ---- *)

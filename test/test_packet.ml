@@ -136,16 +136,21 @@ let packet_sizes () =
   Alcotest.(check int) "mtu constant" 1500 P.mtu;
   Alcotest.(check int) "max payload" 1460 P.max_tcp_payload
 
-let with_dst_mac_preserves_id () =
+let with_dst_mac_changes_only_dst () =
   let p =
     P.tcp ~src_mac:(Mac.host 0) ~dst_mac:(Mac.host 1) ~src_ip:(Ip.host 0)
       ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0
       ~flags:H.Tcp_flags.ack ~payload_len:10 ()
   in
   let q = P.with_dst_mac p (Mac.host 9) in
-  Alcotest.(check int) "id preserved" p.P.id q.P.id;
   Alcotest.(check bool) "dst changed" true
-    (Mac.equal (P.dst_mac q) (Mac.host 9))
+    (Mac.equal (P.dst_mac q) (Mac.host 9));
+  Alcotest.(check bool) "src mac and ethertype kept" true
+    (Mac.equal q.P.eth.H.Eth.src p.P.eth.H.Eth.src
+    && Int.equal q.P.eth.H.Eth.ethertype p.P.eth.H.Eth.ethertype);
+  Alcotest.(check int) "wire size kept" p.P.wire_size q.P.wire_size;
+  Alcotest.(check bool) "rewriting back restores the frame" true
+    (P.same_headers p (P.with_dst_mac q (Mac.host 1)))
 
 (* ---- Flow keys ---- *)
 
@@ -268,7 +273,8 @@ let tests =
     Alcotest.test_case "arp wire roundtrip" `Quick arp_wire_roundtrip;
     Alcotest.test_case "parse rejects garbage" `Quick parse_garbage;
     Alcotest.test_case "packet sizes" `Quick packet_sizes;
-    Alcotest.test_case "rewrite preserves id" `Quick with_dst_mac_preserves_id;
+    Alcotest.test_case "rewrite changes only dst mac" `Quick
+      with_dst_mac_changes_only_dst;
     Alcotest.test_case "flow key extraction" `Quick flow_key_of_packet;
     Alcotest.test_case "arp has no flow key" `Quick flow_key_arp_none;
     Alcotest.test_case "flow key to_string matches pp" `Quick

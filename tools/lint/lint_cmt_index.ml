@@ -201,7 +201,6 @@ let units t = Hashtbl.fold (fun u _ acc -> u :: acc) t.unit_files []
 let unit_count t = Hashtbl.length t.unit_files
 let def_count t = Hashtbl.length t.defs
 let file_of_unit t u = Hashtbl.find_opt t.unit_files u
-let has_file t f = Hashtbl.fold (fun _ v acc -> acc || v = f) t.unit_files false
 let events t = t.events
 let exports t = t.exports
 let find_def t id = Hashtbl.find_opt t.defs id

@@ -146,10 +146,6 @@ val unit_count : t -> int
 val def_count : t -> int
 
 val file_of_unit : t -> string -> string option
-val has_file : t -> string -> bool
-(** [has_file t f] is true when some indexed implementation unit's
-    source is the repo-relative path [f] — i.e. the deep tier covers
-    that file and the replaced syntactic rules may be switched off. *)
 
 val events : t -> event list
 val exports : t -> export list

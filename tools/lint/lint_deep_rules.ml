@@ -1,22 +1,20 @@
 (* The deep (typed, whole-repo) rule tier.
 
-   Where the syntactic tier scopes "hot" by hot-dir × hot-stem filename
-   heuristics, this tier computes the hot set as a forward reachability
-   closure over the real call graph, seeded from the per-packet /
-   per-event roots (switch ingress, collector sample path, engine and
-   event-queue dispatch, tcp segment handling). A cold-named helper the
-   event queue actually calls per event is hot here; a hot-named
-   function nothing per-packet reaches is not.
+   The hot set is a forward reachability closure over the real call
+   graph, seeded from the per-packet / per-event roots (switch ingress,
+   collector sample path, engine and event-queue dispatch, tcp segment
+   handling). A cold-named helper the event queue actually calls per
+   event is hot here; a hot-named function nothing per-packet reaches
+   is not.
 
    Poly-compare is type-aware: we look at the *instantiated* type of the
    compare/=/hash argument, so [compare (a : int) b] is clean without
    any shadow table, and [=] on a structured type only fires where it
    can actually run per packet.
 
-   Findings reuse the syntactic rule ids (hot-alloc, hot-schedule,
-   poly-compare, float-equality) so existing inline suppressions carry
-   over, plus the new dead-export rule. Determinism taint lives in
-   [Lint_taint]. *)
+   This is the only implementation of hot-alloc, hot-schedule,
+   poly-compare, float-equality and dead-export. Determinism taint lives
+   in [Lint_taint]. *)
 
 module SS = Set.Make (String)
 module F = Lint_finding

@@ -2,10 +2,9 @@
     type-aware poly-compare / float-equality, deep hot-alloc /
     hot-schedule, dead-export, plus [Lint_taint]'s determinism rule.
 
-    Deep findings reuse the syntactic rule ids where they replace a
-    syntactic rule, so inline suppression directives carry over
-    unchanged; each carries a stable [symbol] (the qualified def or
-    export id) so baseline entries survive line churn. *)
+    Inline suppression directives apply to these findings like to AST
+    ones; each carries a stable [symbol] (the qualified def or export
+    id) so baseline entries survive line churn. *)
 
 type t
 

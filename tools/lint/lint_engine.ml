@@ -92,7 +92,7 @@ let parse_error_finding ~path exn =
     classification = "";
   }
 
-let lint_source ?(disable = []) ?(extra = []) ~path ~source () =
+let lint_source ?(extra = []) ~path ~source () =
   let directives = parse_directives source in
   let ast_findings =
     let lexbuf = Lexing.from_string source in
@@ -101,10 +101,6 @@ let lint_source ?(disable = []) ?(extra = []) ~path ~source () =
     match Parse.implementation lexbuf with
     | str -> Lint_rules.check_structure ~path str
     | exception exn -> [ parse_error_finding ~path exn ]
-  in
-  let ast_findings =
-    if disable = [] then ast_findings
-    else List.filter (fun f -> not (List.mem f.F.rule disable)) ast_findings
   in
   List.partition
     (fun f -> not (suppressed directives f))
@@ -143,7 +139,7 @@ type result = {
   suppressed_count : int;
   baselined_count : int;
   files_linted : int;
-  deep_units : int;  (** cmt units indexed; 0 on a syntactic-only run *)
+  deep_units : int;  (** cmt units indexed *)
 }
 
 type deep_options = {
@@ -169,63 +165,54 @@ let write_inventory path text =
    Deep findings on files outside the walk (e.g. test/ when linting
    lib bin) are dropped: the walk defines the lint scope. *)
 let deep_findings_by_file ~deep ~walked =
-  match deep with
-  | None -> (Hashtbl.create 1, 0, 0, fun _ -> false)
-  | Some d ->
-      let ix = Lint_cmt_index.load ~dirs:d.cmt_dirs in
-      if Lint_cmt_index.unit_count ix = 0 then begin
-        prerr_endline
-          "planck-lint: warning: --deep found no .cmt artifacts (build \
-           first, or pass --cmt-dir); falling back to the syntactic tier";
-        (Hashtbl.create 1, 0, 0, fun _ -> false)
-      end
-      else begin
-        let dr = Lint_deep_rules.prepare ix in
-        let domain_entries = Lint_domain_rules.inventory dr in
-        (match d.shared_state_out with
-        | None -> ()
-        | Some path ->
-            write_inventory path
-              (if Filename.check_suffix path ".json" then
-                 Lint_domain_rules.inventory_json domain_entries
-               else Lint_domain_rules.inventory_text domain_entries));
-        (match d.ownership_out with
-        | None -> ()
-        | Some path ->
-            let entries = Lint_ownership_rules.inventory dr in
-            write_inventory path
-              (if Filename.check_suffix path ".json" then
-                 Lint_ownership_rules.inventory_json entries
-               else Lint_ownership_rules.inventory_text entries));
-        let findings =
-          Lint_deep_rules.findings ~dead_export:d.dead_export dr
-          @ Lint_domain_rules.findings ~entries:domain_entries dr
-          @ Lint_ownership_rules.findings dr
-        in
-        let entries =
-          match d.baseline_file with
-          | None -> []
-          | Some p when not (Sys.file_exists p) -> []
-          | Some p -> (
-              match Lint_deep_rules.load_baseline p with
-              | Ok e -> e
-              | Error e -> failwith ("baseline: " ^ e))
-        in
-        let kept, baselined = Lint_deep_rules.apply_baseline entries findings in
-        let by_file = Hashtbl.create 64 in
-        List.iter
-          (fun (f : F.t) ->
-            if Hashtbl.mem walked f.F.file then
-              Hashtbl.replace by_file f.F.file
-                (f :: Option.value (Hashtbl.find_opt by_file f.F.file) ~default:[]))
-          kept;
-        ( by_file,
-          List.length baselined,
-          Lint_cmt_index.unit_count ix,
-          Lint_cmt_index.has_file ix )
-      end
+  let ix = Lint_cmt_index.load ~dirs:deep.cmt_dirs in
+  if Lint_cmt_index.unit_count ix = 0 then
+    failwith
+      (Printf.sprintf
+         "no .cmt artifacts under %s (build first, or pass --cmt-dir)"
+         (String.concat ", " deep.cmt_dirs));
+  let dr = Lint_deep_rules.prepare ix in
+  let domain_entries = Lint_domain_rules.inventory dr in
+  (match deep.shared_state_out with
+  | None -> ()
+  | Some path ->
+      write_inventory path
+        (if Filename.check_suffix path ".json" then
+           Lint_domain_rules.inventory_json domain_entries
+         else Lint_domain_rules.inventory_text domain_entries));
+  (match deep.ownership_out with
+  | None -> ()
+  | Some path ->
+      let entries = Lint_ownership_rules.inventory dr in
+      write_inventory path
+        (if Filename.check_suffix path ".json" then
+           Lint_ownership_rules.inventory_json entries
+         else Lint_ownership_rules.inventory_text entries));
+  let findings =
+    Lint_deep_rules.findings ~dead_export:deep.dead_export dr
+    @ Lint_domain_rules.findings ~entries:domain_entries dr
+    @ Lint_ownership_rules.findings dr
+  in
+  let entries =
+    match deep.baseline_file with
+    | None -> []
+    | Some p when not (Sys.file_exists p) -> []
+    | Some p -> (
+        match Lint_deep_rules.load_baseline p with
+        | Ok e -> e
+        | Error e -> failwith ("baseline: " ^ e))
+  in
+  let kept, baselined = Lint_deep_rules.apply_baseline entries findings in
+  let by_file = Hashtbl.create 64 in
+  List.iter
+    (fun (f : F.t) ->
+      if Hashtbl.mem walked f.F.file then
+        Hashtbl.replace by_file f.F.file
+          (f :: Option.value (Hashtbl.find_opt by_file f.F.file) ~default:[]))
+    kept;
+  (by_file, List.length baselined, Lint_cmt_index.unit_count ix)
 
-let lint_paths ?deep ?(only_rules = []) paths =
+let lint_paths ~deep ?(only_rules = []) paths =
   let files =
     List.fold_left collect_files [] paths |> List.sort_uniq String.compare
   in
@@ -235,7 +222,7 @@ let lint_paths ?deep ?(only_rules = []) paths =
     files;
   let walked = Hashtbl.create 256 in
   List.iter (fun f -> Hashtbl.replace walked f ()) files;
-  let deep_by_file, baselined_count, deep_units, covered =
+  let deep_by_file, baselined_count, deep_units =
     deep_findings_by_file ~deep ~walked
   in
   let kept = ref [] and suppressed_count = ref 0 and files_linted = ref 0 in
@@ -251,8 +238,7 @@ let lint_paths ?deep ?(only_rules = []) paths =
           Lint_rules.missing_mli ~path ~has_mli:(Hashtbl.mem mli_set (path ^ "i"))
           @ deep_extra
         in
-        let disable = if covered path then Lint_rules.deep_replaced else [] in
-        let keep, drop = lint_source ~disable ~extra ~path ~source () in
+        let keep, drop = lint_source ~extra ~path ~source () in
         kept := keep @ !kept;
         suppressed_count := !suppressed_count + List.length drop
       end

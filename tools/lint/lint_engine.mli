@@ -1,7 +1,6 @@
 (** Parsing, suppression handling, and the file-tree driver. *)
 
 val lint_source :
-  ?disable:string list ->
   ?extra:Lint_finding.t list ->
   path:string ->
   source:string ->
@@ -12,11 +11,9 @@ val lint_source :
     [(* planck-lint: allow ... *)] directives, and those the directives
     removed. An [allow] directive covers its own line and the line
     below; [allow-file] covers the whole file. [extra] merges file-level
-    findings (e.g. missing-mli, deep-tier findings) into the same
-    suppression pass; [disable] drops AST findings by rule id before
-    partitioning (used to switch off [Lint_rules.deep_replaced] on
-    deep-covered files). [path] is repo-relative and drives rule
-    scoping; the file need not exist on disk. *)
+    findings (e.g. missing-mli, typed-tier findings) into the same
+    suppression pass. [path] is repo-relative and drives rule scoping;
+    the file need not exist on disk. *)
 
 val partition_mli_findings :
   source:string ->
@@ -30,7 +27,7 @@ type result = {
   suppressed_count : int;
   baselined_count : int;  (** deep findings absorbed by the baseline *)
   files_linted : int;
-  deep_units : int;  (** cmt units indexed; 0 on a syntactic-only run *)
+  deep_units : int;  (** cmt units indexed; always > 0 *)
 }
 
 type deep_options = {
@@ -52,16 +49,15 @@ type deep_options = {
 }
 
 val lint_paths :
-  ?deep:deep_options -> ?only_rules:string list -> string list -> result
+  deep:deep_options -> ?only_rules:string list -> string list -> result
 (** Walk files and directories (recursively; [_build] and dotfiles are
     skipped), lint every [.ml], and apply the missing-mli rule using the
     sibling [.mli] set. Paths are reported as given, so run from the
-    repo root with [lib bin bench examples]. With [deep], the cmt index
-    is loaded first: files it covers lose the [Lint_rules.deep_replaced]
-    syntactic rules and gain the deep findings instead (inline
-    suppressions apply to both tiers); files without a cmt keep the
-    full syntactic tier. Deep findings on files outside the walked set
-    are dropped. If no cmt artifacts are found the run degrades to
-    syntactic with a warning on stderr. A non-empty [only_rules]
-    restricts [kept] to those rule ids after suppression and baseline
-    handling — counters still reflect the full run. *)
+    repo root with [lib bin bench examples]. The cmt index is loaded
+    first and its typed findings merge with the AST findings of each
+    walked file (inline suppressions apply to both). Typed findings on
+    files outside the walked set are dropped. Raises [Failure] if
+    [deep.cmt_dirs] hold no cmt units or the baseline is malformed. A
+    non-empty [only_rules] restricts [kept] to those rule ids after
+    suppression and baseline handling — counters still reflect the full
+    run. *)

@@ -1,10 +1,12 @@
 (* The rule catalog and the single-pass AST checker.
 
-   Rules are syntactic: the linter sees the Parsetree, not types, so
-   each rule is scoped (by path, by enclosing-function name, by what the
-   module defines) to keep the signal high. Imprecision is resolved
-   toward fewer false positives; the suppression syntax exists for the
-   rest. *)
+   The catalog lists every rule of both tiers. The AST pass here checks
+   the rules that need only the Parsetree: the determinism bans on
+   wall-clock reads, ambient randomness and hash-order iteration, and
+   the hygiene rules. Each is scoped by path and by what the module
+   defines. Rules that need types or the call graph (poly-compare,
+   float-equality, the hot-path rules, taint, the domain and ownership
+   tiers) live in the typed tier over the .cmt artifacts. *)
 
 open Parsetree
 module F = Lint_finding
@@ -53,9 +55,12 @@ let catalog =
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "Bare polymorphic compare / Hashtbl.hash walk structure at runtime \
-         and order floats by bit pattern. Use Int.compare, Float.compare, \
-         String.compare or the key module's explicit comparator/hash.";
+        "Polymorphic compare / Hashtbl.hash instantiated at a float, \
+         string or structured type in lib/ code walks structure at \
+         runtime and orders floats by bit pattern; structural =/<> on a \
+         structured type fires where it is reachable from the per-packet \
+         roots. Use Int.compare, Float.compare, String.compare or the \
+         key module's explicit comparator/hash.";
     };
     {
       id = "keyed-poly-equal";
@@ -71,19 +76,21 @@ let catalog =
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "=/<> against a float literal is a polymorphic structural compare \
-         and is usually a logic smell. Use Float.equal, an epsilon, or an \
-         ordering test.";
+        "=/<> instantiated at float in lib/ code is a structural compare \
+         on bit patterns and is usually a logic smell. Use Float.equal, an \
+         epsilon, or an ordering test.";
     };
     {
       id = "hot-alloc";
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "Printf/Format/string concatenation inside a per-packet/per-event \
-         function (forward, enqueue, process, ...). Format off the hot path, \
-         or guard behind an enabled-flag branch and suppress with a \
-         justification.";
+        "Printf/Format/string concatenation in a lib/ function reachable \
+         along the call graph from the per-packet/per-event roots (switch \
+         ingress, collector sample path, engine dispatch, tcp segment \
+         handling); arguments of raise calls are exempt. Format off the \
+         hot path, or guard behind an enabled-flag branch and suppress \
+         with a justification.";
     };
     {
       id = "hot-schedule";
@@ -91,9 +98,9 @@ let catalog =
       default_severity = F.Error;
       doc =
         "A closure literal passed to Engine.schedule/schedule_at/every \
-         inside a per-packet/per-event function allocates a fresh closure \
-         per event and cannot be cancelled; preallocate an Engine.Timer.t \
-         handle and reschedule it.";
+         in a lib/ function reachable from the per-packet/per-event roots \
+         allocates a fresh closure per event and cannot be cancelled; \
+         preallocate an Engine.Timer.t handle and reschedule it.";
     };
     {
       id = "missing-mli";
@@ -131,7 +138,7 @@ let catalog =
       group = "determinism";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a wall-clock / ambient-random / \
+        "A wall-clock / ambient-random / \
          hashtbl-iteration-order value flows (interprocedurally, along \
          the call graph) into sim-visible state — journal or time-series \
          payloads, engine scheduling, or a routing/TE decision. The \
@@ -143,7 +150,7 @@ let catalog =
       group = "domain";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a toplevel lib/ binding holds mutable state that \
+        "A toplevel lib/ binding holds mutable state that \
          is neither engine-scoped (reachable only through a handle) nor \
          wrapped in Stdlib.Atomic — it will race the moment two shards run \
          on separate domains. Confine it, convert it, or baseline it with \
@@ -154,7 +161,7 @@ let catalog =
       group = "domain";
       default_severity = F.Error;
       doc =
-        "Deep tier only: shared-mutable state transitively reachable from \
+        "Shared-mutable state transitively reachable from \
          the per-packet/per-event hot roots — exactly the code that will \
          run concurrently on every shard. The finding cites the witness \
          chain from the hot root to the state.";
@@ -164,7 +171,7 @@ let catalog =
       group = "domain";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a read-modify-write (incr/decr, or := fed by ! / \
+        "A read-modify-write (incr/decr, or := fed by ! / \
          a mutable-field update) on shared-mutable state; a concurrent \
          shard can interleave between the read and the write. Use \
          Atomic.fetch_and_add or a compare_and_set loop.";
@@ -174,7 +181,7 @@ let catalog =
       group = "hygiene";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a value exported by a lib/ .mli is never \
+        "A value exported by a lib/ .mli is never \
          referenced outside its own module. Delete the export (and the \
          binding, if nothing else uses it) or baseline it with a \
          one-line justification.";
@@ -184,7 +191,7 @@ let catalog =
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a mutable local is read, written or RMW'd after \
+        "A mutable local is read, written or RMW'd after \
          it flowed into a transfer point (Spsc.push hands the frame to \
          the consumer shard, Engine.Timer.cancel kills the handle) on \
          some path through the same binding. The new owner may be \
@@ -196,7 +203,7 @@ let catalog =
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: one SPSC channel's push call sites (or its \
+        "One SPSC channel's push call sites (or its \
          pop/peek/drain sites) are reachable from more than one \
          Domain.spawn shard root. The queue is single-producer/ \
          single-consumer by construction; a second domain on either \
@@ -208,7 +215,7 @@ let catalog =
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a call that can park the running domain \
+        "A call that can park the running domain \
          (Mutex.lock, Condition.wait, Domain.join, Unix I/O, console \
          formatters) is transitively reachable from a shard closure or \
          hot root. A parked shard stalls the sense-reversing barrier \
@@ -220,21 +227,11 @@ let catalog =
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: Buffer_pool.try_alloc succeeded but a direct \
+        "Buffer_pool.try_alloc succeeded but a direct \
          raise-family call escapes the success branch before any \
          Buffer_pool.release. The admitted bytes leak from the pool \
          accounting; release on the exception edge and re-raise.";
     };
-  ]
-
-(* Syntactic rules the deep tier replaces: when a file is covered by
-   the cmt index, these are switched off for that file (reachability
-   and instantiated types subsume the filename/shadow heuristics); any
-   file without a cmt keeps the full syntactic tier as the fallback. *)
-let deep_replaced =
-  [
-    "poly-compare"; "float-equality"; "hot-alloc"; "hot-schedule";
-    "wall-clock"; "ambient-random"; "hashtbl-iteration";
   ]
 
 let find id = List.find_opt (fun r -> r.id = id) catalog
@@ -245,28 +242,6 @@ let is_known id = Option.is_some (find id) || id = "all"
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 let in_lib path = has_prefix "lib/" path
 let in_telemetry path = has_prefix "lib/telemetry/" path
-
-(* Files whose functions run per packet / per sample / per event. *)
-let hot_dirs = [ "lib/netsim/"; "lib/collector/"; "lib/tcp/"; "lib/sflow/"; "lib/packet/" ]
-let hot_file path = List.exists (fun d -> has_prefix d path) hot_dirs
-
-(* Per-packet/per-event naming conventions of switch.ml, engine.ml,
-   flow.ml, collector.ml and friends. A function is hot when any
-   enclosing binding matches one of these stems. *)
-let hot_stems =
-  [
-    "forward"; "enqueue"; "dequeue"; "ingress"; "inject"; "deliver";
-    "transmit"; "process"; "parse"; "push"; "pop"; "step"; "tick";
-    "observe"; "sample"; "record"; "touch"; "note"; "update"; "drop";
-    "handle"; "check"; "infer"; "on";
-  ]
-
-let is_hot_name name =
-  List.exists
-    (fun stem ->
-      name = stem
-      || has_prefix (stem ^ "_") name)
-    hot_stems
 
 (* ---- Longident helpers ---- *)
 
@@ -283,26 +258,9 @@ type ctx = {
   path : string;
   c_in_lib : bool;
   c_in_telemetry : bool;
-  c_hot_file : bool;
   c_keyed : bool;
-  mutable fn_stack : string list;
-  (* structure/let-bound value names seen so far, with nesting counts,
-     so a module-local [compare] is not mistaken for Stdlib.compare *)
-  bound : (string, int) Hashtbl.t;
   mutable findings : F.t list;
 }
-
-let bind ctx name =
-  Hashtbl.replace ctx.bound name
-    (1 + Option.value (Hashtbl.find_opt ctx.bound name) ~default:0)
-
-let unbind ctx name =
-  match Hashtbl.find_opt ctx.bound name with
-  | Some n when n > 1 -> Hashtbl.replace ctx.bound name (n - 1)
-  | Some _ -> Hashtbl.remove ctx.bound name
-  | None -> ()
-
-let is_bound ctx name = Hashtbl.mem ctx.bound name
 
 let report ctx ~loc ~rule message =
   let severity =
@@ -321,8 +279,6 @@ let report ctx ~loc ~rule message =
       classification = "";
     }
     :: ctx.findings
-
-let in_hot_fn ctx = List.exists is_hot_name ctx.fn_stack
 
 (* ---- Pattern helpers ---- *)
 
@@ -396,66 +352,22 @@ let check_ident ctx loc lid =
                (lid_to_string lid)))
   | _ -> ());
   (* determinism: unordered hashtable iteration *)
-  (let is_tbl_iteration =
-     match List.rev path with
-     | ("iter" | "fold") :: rest -> (
-         match rest with
-         | [ "Hashtbl" ] | [ "Hashtbl"; "Stdlib" ] -> true
-         | "Table" :: _ -> true (* Hashtbl.Make instances, e.g. Flow_key.Table *)
-         | _ -> false)
-     | _ -> false
-   in
-   if sim_code && is_tbl_iteration then
-     report ctx ~loc ~rule:"hashtbl-iteration"
-       (Printf.sprintf
-          "%s visits bindings in hash order, which can leak into event \
-           ordering; iterate sorted bindings (to_seq + List.sort, or \
-           Flow_key.Table.iter_sorted/fold_sorted)"
-          (lid_to_string lid)));
-  (* hotpath: polymorphic compare / hash *)
-  (match path with
-  | [ "compare" ] when ctx.c_in_lib && not (is_bound ctx "compare") ->
-      report ctx ~loc ~rule:"poly-compare"
-        "bare polymorphic compare; use Int.compare / Float.compare / \
-         String.compare or the key module's comparator"
-  | [ "Stdlib"; "compare" ] when ctx.c_in_lib ->
-      report ctx ~loc ~rule:"poly-compare"
-        "Stdlib.compare is polymorphic; use a monomorphic comparator"
-  | [ "Hashtbl"; "hash" ] | [ "Stdlib"; "Hashtbl"; "hash" ] when ctx.c_in_lib ->
-      report ctx ~loc ~rule:"poly-compare"
-        "Hashtbl.hash walks the value structurally; define an explicit hash \
-         for the key type"
-  | _ -> ());
-  (* hotpath: allocation-heavy formatting in per-packet functions *)
-  if ctx.c_hot_file && in_hot_fn ctx then
-    let alloc_smell =
-      match path with
-      | [ "^" ] | [ "String"; "concat" ] -> true
-      | [ ("string_of_int" | "string_of_float" | "string_of_bool") ] -> true
-      | ("Printf" | "Format") :: _ -> true
-      | _ -> false
-    in
-    if alloc_smell then
-      report ctx ~loc ~rule:"hot-alloc"
-        (Printf.sprintf
-           "%s allocates/formats inside a per-packet/per-event function \
-            (enclosing: %s); move it off the hot path or guard it and \
-            suppress with a justification"
-           (lid_to_string lid)
-           (String.concat " > " (List.rev ctx.fn_stack)))
-
-let rec strip_unary_minus e =
-  match e.pexp_desc with
-  | Pexp_apply
-      ( { pexp_desc = Pexp_ident { txt = Longident.Lident ("~-." | "~-" | "-." | "-"); _ }; _ },
-        [ (Asttypes.Nolabel, arg) ] ) ->
-      strip_unary_minus arg
-  | _ -> e
-
-let is_float_literal e =
-  match (strip_unary_minus e).pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | _ -> false
+  let is_tbl_iteration =
+    match List.rev path with
+    | ("iter" | "fold") :: rest -> (
+        match rest with
+        | [ "Hashtbl" ] | [ "Hashtbl"; "Stdlib" ] -> true
+        | "Table" :: _ -> true (* Hashtbl.Make instances, e.g. Flow_key.Table *)
+        | _ -> false)
+    | _ -> false
+  in
+  if sim_code && is_tbl_iteration then
+    report ctx ~loc ~rule:"hashtbl-iteration"
+      (Printf.sprintf
+         "%s visits bindings in hash order, which can leak into event \
+          ordering; iterate sorted bindings (to_seq + List.sort, or \
+          Flow_key.Table.iter_sorted/fold_sorted)"
+         (lid_to_string lid))
 
 (* Operands that make structural =/<> acceptable in a keyed module:
    literals, constructors (None, [], flags) and qualified constants. *)
@@ -480,49 +392,18 @@ let result_returning_call e =
           | [] -> false))
   | _ -> false
 
-(* hotpath: fresh closures handed to the engine in per-packet code *)
-let check_hot_schedule ctx whole fn args =
-  if ctx.c_hot_file && in_hot_fn ctx then
-    match fn.pexp_desc with
-    | Pexp_ident { txt; _ } -> (
-        match List.rev (flatten_lid txt) with
-        | ("schedule" | "schedule_at" | "every") :: "Engine" :: _ ->
-            let closure_literal ((_ : Asttypes.arg_label), a) =
-              match a.pexp_desc with
-              | Pexp_fun _ | Pexp_function _ -> true
-              | _ -> false
-            in
-            if List.exists closure_literal args then
-              report ctx ~loc:whole.pexp_loc ~rule:"hot-schedule"
-                (Printf.sprintf
-                   "fresh closure scheduled on the engine inside a \
-                    per-packet/per-event function (enclosing: %s); \
-                    preallocate an Engine.Timer.t and reschedule it"
-                   (String.concat " > " (List.rev ctx.fn_stack)))
-        | _ -> ())
-    | _ -> ()
-
 let check_apply ctx whole fn args =
-  check_hot_schedule ctx whole fn args;
   match (fn.pexp_desc, args) with
-  | ( Pexp_ident { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ },
-      [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] ) ->
-      if is_float_literal a || is_float_literal b then
-        report ctx ~loc:whole.pexp_loc ~rule:"float-equality"
-          (Printf.sprintf
-             "(%s) against a float literal; use Float.equal, an epsilon, or \
-              an ordering test"
-             op)
-      else if
-        ctx.c_keyed && ctx.c_in_lib && (op = "=" || op = "<>")
-        && (not (is_constantish a))
-        && not (is_constantish b)
-      then
-        report ctx ~loc:whole.pexp_loc ~rule:"keyed-poly-equal"
-          (Printf.sprintf
-             "structural (%s) in a module defining a custom key type; write \
-              the field-wise comparison"
-             op)
+  | ( Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); _ },
+      [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] )
+    when ctx.c_keyed && ctx.c_in_lib
+         && (not (is_constantish a))
+         && not (is_constantish b) ->
+      report ctx ~loc:whole.pexp_loc ~rule:"keyed-poly-equal"
+        (Printf.sprintf
+           "structural (%s) in a module defining a custom key type; write \
+            the field-wise comparison"
+           op)
   | ( Pexp_ident { txt = Longident.Lident "ignore"; _ },
       [ (Asttypes.Nolabel, arg) ] )
     when ctx.c_in_lib && result_returning_call arg ->
@@ -538,15 +419,11 @@ let check_structure ~path str =
       path;
       c_in_lib = in_lib path;
       c_in_telemetry = in_telemetry path;
-      c_hot_file = hot_file path;
       c_keyed = in_lib path && defines_keyed_type str;
-      fn_stack = [];
-      bound = Hashtbl.create 16;
       findings = [];
     }
   in
   let default = Ast_iterator.default_iterator in
-  let vb_names vbs = List.filter_map (fun vb -> pat_name vb.pvb_pat) vbs in
   let iter =
     {
       default with
@@ -556,46 +433,23 @@ let check_structure ~path str =
           | Pexp_ident { txt; loc } -> check_ident ctx loc txt
           | Pexp_apply (fn, args) -> check_apply ctx e fn args
           | _ -> ());
-          match e.pexp_desc with
-          | Pexp_let (rf, vbs, body) ->
-              (* thread bindings so local [let compare = ...] shadows *)
-              let names = vb_names vbs in
-              if rf = Asttypes.Recursive then List.iter (bind ctx) names;
-              List.iter (it.value_binding it) vbs;
-              if rf = Asttypes.Nonrecursive then List.iter (bind ctx) names;
-              it.expr it body;
-              List.iter (unbind ctx) names
-          | _ -> default.expr it e);
-      value_binding =
-        (fun it vb ->
-          match pat_name vb.pvb_pat with
-          | Some name ->
-              ctx.fn_stack <- name :: ctx.fn_stack;
-              default.value_binding it vb;
-              ctx.fn_stack <- List.tl ctx.fn_stack
-          | None -> default.value_binding it vb);
+          default.expr it e);
       structure_item =
         (fun it si ->
-          match si.pstr_desc with
-          | Pstr_value (rf, vbs) ->
-              (* structure-level names stay bound for the rest of the file *)
-              let names = vb_names vbs in
-              if rf = Asttypes.Recursive then List.iter (bind ctx) names;
-              List.iter (it.value_binding it) vbs;
-              if rf = Asttypes.Nonrecursive then List.iter (bind ctx) names
+          (match si.pstr_desc with
           | Pstr_open
               { popen_expr = { pmod_desc = Pmod_ident { txt; loc }; _ }; _ }
             when ctx.c_in_lib -> (
-              (match flatten_lid txt with
+              match flatten_lid txt with
               | [ m ] when has_prefix "Planck" m ->
                   report ctx ~loc ~rule:"open-lib"
                     (Printf.sprintf
                        "structure-level open of the whole %s library; alias \
                         the submodules you need or qualify"
                        m)
-              | _ -> ());
-              default.structure_item it si)
-          | _ -> default.structure_item it si);
+              | _ -> ())
+          | _ -> ());
+          default.structure_item it si);
     }
   in
   iter.structure iter str;
