@@ -361,8 +361,8 @@ let main names runs full seed list_experiments with_micro json_path
     Planck.Experiment.set_observer None;
     if profile then begin
       Profile.set_enabled false;
-      Printf.printf "\nSelf-profile (wall clock + GC, by span):\n%s%!"
-        (Profile.render (Profile.summary ()))
+      Printf.printf "\nSelf-profile (wall clock + minor words, by span):\n%s%!"
+        (Profile.report ())
     end;
     (* Drop scoped-registry spans (micro fixtures) from the process
        catalog so repeated in-process runs don't accumulate them. *)

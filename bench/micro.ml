@@ -317,10 +317,10 @@ let test_flow_table_touch =
               ())))
 
 (* Profiler overhead guards (the gate's <3% switch-micro bound rides on
-   the disabled path being a single branch; the enabled path pays two
-   clock reads and two [Gc.quick_stat]s). The enabled stage flips the
-   process-wide flag around each visit so every other micro in this
-   file always measures the disabled path. *)
+   the disabled path being a single branch; the enabled path pays one
+   clock read and one [Gc.minor_words] read per span edge). The enabled
+   stage flips the process-wide flag around each visit so every other
+   micro in this file always measures the disabled path. *)
 let profile_reg = Metrics.create ~enabled:true ()
 let profile_span_cold = Profile.register ~registry:profile_reg "bench.cold"
 let profile_span_hot = Profile.register ~registry:profile_reg "bench.hot"

@@ -149,8 +149,8 @@ let profile_setup profile =
 let profile_report profile =
   if profile then begin
     Profile.set_enabled false;
-    Printf.printf "\nself-profile (wall clock + GC, by span):\n%s"
-      (Profile.render (Profile.summary ()))
+    Printf.printf "\nself-profile (wall clock + minor words, by span):\n%s"
+      (Profile.report ())
   end
 
 let run_experiment () workload_name scheme_name flow_table_name size_mib runs

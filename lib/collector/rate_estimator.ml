@@ -11,7 +11,6 @@ type t = {
   mutable last_seq : int;
   mutable last_time : Time.t;
   mutable estimate : Rate.t option;
-  mutable estimate_at : Time.t option;
   mutable samples : int;
   mutable out_of_order : int;
 }
@@ -26,7 +25,6 @@ let create ?(min_gap = Time.us 200) ?(max_burst = Time.us 700) ?max_rate () =
     last_seq = 0;
     last_time = 0;
     estimate = None;
-    estimate_at = None;
     samples = 0;
     out_of_order = 0;
   }
@@ -38,7 +36,6 @@ let emit t ~seq ~time =
       match t.max_rate with None -> raw | Some cap -> min raw cap
     in
     t.estimate <- Some rate;
-    t.estimate_at <- Some time;
     Some rate
   end
   else None
@@ -86,7 +83,6 @@ let update t ~time ~seq32 =
   end
 
 let current t = t.estimate
-let last_estimate_at t = t.estimate_at
 let samples t = t.samples
 let out_of_order t = t.out_of_order
 
@@ -130,6 +126,4 @@ module Rolling = struct
       t.estimate <- Some (Rate.of_bytes_per (seq - oldest_seq) t.window);
       t.estimate
     end
-
-  let current t = t.estimate
 end

@@ -23,8 +23,6 @@ type t = {
   deliveries : (Time.t * Packet.t) Queue.t;
   tx_timer : Engine.Timer.t;
   delivery_timer : Engine.Timer.t;
-  mutable queued_bytes : int;
-  mutable queued_packets : int;
   mutable tx_packets : int;
   mutable tx_bytes : int;
 }
@@ -62,8 +60,6 @@ let rec transmit_next t =
   | Some packet ->
       t.busy <- true;
       t.in_flight <- Some packet;
-      t.queued_bytes <- t.queued_bytes - packet.Packet.wire_size;
-      t.queued_packets <- t.queued_packets - 1;
       let tx = Rate.tx_time t.rate ~bytes_:packet.Packet.wire_size in
       Engine.Timer.reschedule t.tx_timer ~delay:tx
 
@@ -115,8 +111,6 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
       deliveries = Queue.create ();
       tx_timer = Engine.Timer.create engine ignore;
       delivery_timer = Engine.Timer.create engine ignore;
-      queued_bytes = 0;
-      queued_packets = 0;
       tx_packets = 0;
       tx_bytes = 0;
     }
@@ -127,13 +121,7 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
 
 let enqueue t ~cls packet =
   Queue.push packet t.queues.(cls);
-  t.queued_bytes <- t.queued_bytes + packet.Packet.wire_size;
-  t.queued_packets <- t.queued_packets + 1;
   if not t.busy then transmit_next t
 
-let queued_bytes t = t.queued_bytes
-let queued_packets t = t.queued_packets
-let busy t = t.busy
-let rate t = t.rate
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes

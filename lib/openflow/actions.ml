@@ -4,6 +4,9 @@ module Mac = Planck_packet.Mac
 module Switch = Planck_netsim.Switch
 module Host = Planck_netsim.Host
 
+(* OpenFlow packet-out: one control-channel delay, then normal egress
+   queueing. [on_injected] runs when the frame enters the switch — the
+   journal's install stamp. *)
 let packet_out ?(on_injected = fun () -> ()) channel switch ~port packet =
   Control_channel.send channel (fun () ->
       Switch.inject switch ~port packet;

@@ -1,5 +1,5 @@
-(** Self-profiling spans: wall-clock and GC cost attributed to named
-    subsystems.
+(** Self-profiling spans: wall-clock time and minor-heap words
+    attributed to named subsystems.
 
     A span is registered once (cold path) and entered/exited around a
     unit of runtime work — engine dispatch, the switch pipeline, the
@@ -12,24 +12,27 @@
       buckets, so the export carries the latency distribution);
     - ["self_ns"] counter — exclusive time: inclusive minus the time
       spent inside nested child spans (flamegraph-style self time);
-    - ["minor_words"] / ["promoted_words"] / ["major_words"] counters —
-      exclusive GC-word deltas ({!Gc.quick_stat});
-    - ["minor_collections"] / ["major_collections"] counters —
-      exclusive collection counts.
+    - ["minor_words"] counter — exclusive minor-heap words allocated
+      by this domain ({!Gc.minor_words}).
 
-    Costs of the measurement itself are controlled two ways: disabled,
-    {!enter}/{!exit} are a single load+test of one flag (no allocation,
-    no clock read — the same discipline as {!Metrics} updates); enabled,
-    the profiler's own allocations (the [Gc.quick_stat] record) are
-    metered against a private ledger and subtracted from every
-    enclosing span's word counts, so "words/op" measures the profiled
-    code, not the profiler.
+    Disabled, {!enter}/{!exit} are a single load+test of one flag (no
+    allocation, no clock read — the same discipline as {!Metrics}
+    updates). Enabled, each span edge costs one monotonic clock read,
+    one {!Gc.minor_words} read and a few int stores, and allocates
+    nothing, so "words/call" measures the profiled code, not the
+    profiler. Promoted and major words and collection counts are not
+    kept per span; {!report} reads them once for the whole run.
 
     Spans nest on a fixed-depth preallocated frame stack (no allocation
     per visit). An {!exit} whose span is not the innermost open frame
     unwinds to the matching frame, discarding abandoned inner frames —
     so a span body that escapes by exception self-heals at the next
-    well-paired exit. *)
+    well-paired exit.
+
+    Each domain has its own frame stack, but span metrics are plain
+    {!Metrics} counters shared by every domain. Under [--shards N>1],
+    concurrent domains lose each other's increments, so span calls and
+    totals read low; the figures are exact only on one domain. *)
 
 type t
 (** A registered span handle. *)
@@ -84,11 +87,7 @@ type row = {
   r_total_ns : int;  (** inclusive wall time, summed over visits *)
   r_self_ns : int;  (** exclusive wall time *)
   r_max_ns : int;  (** worst single visit, inclusive *)
-  r_minor_words : int;
-  r_promoted_words : int;
-  r_major_words : int;
-  r_minor_collections : int;
-  r_major_collections : int;
+  r_minor_words : int;  (** exclusive minor-heap words, summed over visits *)
 }
 
 val summary : ?registry:Metrics.registry -> unit -> row list
@@ -99,9 +98,17 @@ val rows_of_metrics_json : Json.t -> (row list, string) result
 (** Rebuild rows from an exported metrics document — either the
     [{"metrics": [...]}] object {!Export.metrics_to_json} writes or the
     bare metrics list embedded in [bench --json] output. Entries
-    outside subsystem ["profile"] are ignored; [Error] only if the
-    document shape is not a metrics snapshot at all. *)
+    outside subsystem ["profile"], and profile quantities a row does not
+    carry (such as the per-span GC counts older snapshots hold), are
+    ignored; [Error] only if the document shape is not a metrics
+    snapshot at all. *)
 
 val render : row list -> string
 (** Plain-text report: top spans by self time with share-of-total,
-    per-call costs, allocation rates, and GC counts. *)
+    per-call time and minor words per call. *)
+
+val report : unit -> string
+(** The live report after a profiled run: {!render} of {!summary} for
+    {!Metrics.default}, then one [gc totals:] line (promoted words,
+    major words, minor and major collections) from a single
+    {!Gc.quick_stat} taken now. *)

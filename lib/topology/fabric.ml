@@ -20,7 +20,6 @@ type sharding = {
 }
 
 type t = {
-  engine : Engine.t;
   switches : Switch.t array;
   hosts : Host.t array;
   adjacency : peer array array; (* adjacency.(switch).(port) *)
@@ -58,7 +57,6 @@ let build engine ~switch_ports ~switch_config ~link_rate
           ~prng:(Prng.split prng) ())
   in
   {
-    engine;
     switches;
     hosts;
     adjacency =
@@ -134,7 +132,6 @@ let reserve_monitor t ~switch ~port =
   t.adjacency.(switch).(port) <- To_monitor;
   t.monitors.(switch) <- Some port
 
-let engine t = t.engine
 let switch_count t = Array.length t.switches
 let host_count t = Array.length t.hosts
 let switch t i = t.switches.(i)

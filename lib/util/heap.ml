@@ -80,5 +80,3 @@ let pop h =
     end;
     Some (top.key, top.value)
   end
-
-let clear h = h.size <- 0

@@ -26,5 +26,3 @@ val peek : 'a t -> (int * 'a) option
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum element (FIFO among equal keys).
     O(log n). *)
-
-val clear : 'a t -> unit
